@@ -1,6 +1,7 @@
 """Shared infrastructure for the experiment benchmarks.
 
-Every benchmark regenerates one experiment from DESIGN.md's index: it
+Every benchmark regenerates one experiment from the index that
+``python -m repro experiments`` prints: it
 computes the measured quantities, prints a paper-claim vs measured table,
 and persists the table under ``benchmarks/results/`` so the numbers survive
 pytest's output capture.  The ``benchmark`` fixture times the experiment's

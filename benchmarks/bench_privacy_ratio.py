@@ -2,7 +2,7 @@
 
 * E4: exact worst-case publish ratio (dynamic program over evaluation
   patterns) against the ((1-p)/p)^4 bound, across key-space sizes, plus
-  the rejection-constant ablation from DESIGN.md.
+  the rejection-constant ablation (E4b in ``python -m repro experiments``).
 * E5: multi-sketch composition and the Corollary 3.4 p(eps, l) rule —
   paper's first-order formula vs this library's exact inversion.
 * E16: the single-bit flipping privacy region of Appendix B.

@@ -90,7 +90,8 @@ def test_e2_iteration_counts(benchmark):
 
 
 def test_e2b_replacement_ablation(benchmark):
-    """DESIGN.md ablation: with- vs without-replacement sampling."""
+    """Ablation: with- vs without-replacement sampling (E2b in
+    ``python -m repro experiments``)."""
     p = 0.3
     params, prf, _, _, rng = make_stack(p, seed=22)
     num_trials = 1500

@@ -3,7 +3,7 @@
 Sweeps the user count, measures mean and 95th-percentile estimation error
 over repeated trials, fits the power law, and compares against the
 analytic Chernoff half-width.  Also ablates the estimator's count-zeros
-trick (clamping) from DESIGN.md.
+trick (clamping), the E6b ablation listed by ``python -m repro experiments``.
 """
 
 from __future__ import annotations

@@ -15,8 +15,8 @@ without writing code:
   the JSON result;
 * ``rebalance``   — drive a live range split/merge on a running sharded
   server (or show rebalance status) over the same protocol;
-* ``experiments`` — the DESIGN.md experiment index and how to regenerate
-  each entry.
+* ``experiments`` — the experiment index (``_EXPERIMENTS``: E-number,
+  what it measures, the benchmark that regenerates it).
 """
 
 from __future__ import annotations

@@ -39,6 +39,7 @@ __all__ = [
     "transition_probability",
     "perturbation_matrix",
     "condition_number",
+    "weight_counts",
     "weight_histogram",
     "solve_weight_counts",
     "CombinedEstimate",
@@ -108,6 +109,20 @@ def condition_number(k: int, p: float) -> float:
     return float(np.linalg.cond(perturbation_matrix(k, p)))
 
 
+def weight_counts(bits_per_user: np.ndarray) -> np.ndarray:
+    """Integer histogram of per-user Hamming weights.
+
+    ``bits_per_user`` is a ``(M, k)`` array of 0/1 entries; entry ``w``
+    of the returned ``k + 1``-entry int64 array counts the rows of
+    weight ``w``.  The sufficient statistic of every Appendix E/F
+    combination: histograms over disjoint user sets add exactly, and
+    :func:`combine_from_weight_counts` turns one into an estimate.
+    """
+    array = np.asarray(bits_per_user)
+    weights = array.sum(axis=1).astype(np.int64)
+    return np.bincount(weights, minlength=array.shape[1] + 1)
+
+
 def weight_histogram(bits_per_user: np.ndarray, k: int | None = None) -> np.ndarray:
     """Histogram of per-user Hamming weights as fractions.
 
@@ -125,9 +140,7 @@ def weight_histogram(bits_per_user: np.ndarray, k: int | None = None) -> np.ndar
     width = array.shape[1] if k is None else k
     if array.shape[1] != width:
         raise ValueError(f"array width {array.shape[1]} does not match k={width}")
-    weights = array.sum(axis=1).astype(np.int64)
-    histogram = np.bincount(weights, minlength=width + 1).astype(np.float64)
-    return histogram / array.shape[0]
+    return weight_counts(array).astype(np.float64) / array.shape[0]
 
 
 def solve_weight_counts(observed: np.ndarray, p: float) -> np.ndarray:

@@ -26,17 +26,7 @@ from .resilience import (
     current_deadline,
     deadline_scope,
 )
-from .serialization import (
-    dumps_block_request,
-    dumps_block_response,
-    dumps_store,
-    handle_block_request,
-    load_store,
-    loads_block_request,
-    loads_block_response,
-    loads_store,
-    save_store,
-)
+from .serialization import dumps_store, load_store, loads_store, save_store
 from .sharded import (
     ShardCoordinator,
     ShardMap,
@@ -78,13 +68,8 @@ __all__ = [
     "attribute_subsets",
     "current_deadline",
     "deadline_scope",
-    "dumps_block_request",
-    "dumps_block_response",
     "dumps_store",
-    "handle_block_request",
     "load_store",
-    "loads_block_request",
-    "loads_block_response",
     "loads_store",
     "merge_stores",
     "per_bit_subsets",

@@ -1,29 +1,22 @@
-"""The typed query protocol: round trips, error envelopes, legacy shims.
+"""The typed query protocol: round trips and error envelopes.
 
-Three layers of guarantees:
+Two layers of guarantees:
 
 * every request kind satisfies ``loads_request(dumps_request(x)) == x``
   (property-tested over generated subsets/values/plans);
 * every failure crosses the wire as the structured error envelope —
   code + message, never a raw traceback — and maps back to the exception
-  type a local caller would have caught;
-* the legacy block request/response of ``repro.server.serialization``
-  stay byte-compatible with their pre-protocol output, and
-  ``handle_block_request`` never lets an exception escape to the
-  transport caller.
+  type a local caller would have caught.
 """
 
 import json
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BiasedPRF, PrivacyParams, SketchEstimator, Sketcher
 from repro.core.accountant import BudgetExceeded
 from repro.core.estimator import QueryEstimate
-from repro.data import bernoulli_panel
 from repro.protocol import (
     PROTOCOL_VERSION,
     AnyOfRequest,
@@ -57,14 +50,7 @@ from repro.protocol import (
 from repro.protocol.messages import QueryResponse
 from repro.queries.ast import Conjunction, Literal
 from repro.queries.conjunctive import LinearPlan, PlanTerm
-from repro.server import MissingSketchError, QueryEngine, publish_database
-from repro.server.serialization import (
-    dumps_block_request,
-    handle_block_request,
-    loads_block_response,
-)
-
-from .conftest import GLOBAL_KEY
+from repro.server import MissingSketchError
 
 # ----------------------------------------------------------------------
 # Strategies: structurally valid requests of every kind
@@ -337,65 +323,3 @@ class TestEnvelope:
         ):
             mapped = exception_from_error(error_from_exception(exc))
             assert type(mapped) is type(exc)
-
-
-# ----------------------------------------------------------------------
-# Legacy block-request shims
-# ----------------------------------------------------------------------
-def make_engine(num_users: int = 120, seed: int = 3):
-    params = PrivacyParams(p=0.3)
-    prf = BiasedPRF(p=0.3, global_key=GLOBAL_KEY)
-    database = bernoulli_panel(num_users, 4, rng=np.random.default_rng(seed))
-    sketcher = Sketcher(params, prf, sketch_bits=8, rng=np.random.default_rng(seed + 1))
-    store = publish_database(
-        database, sketcher, [(0, 1), (1, 2, 3)], workers=1, seed=seed
-    )
-    return QueryEngine(database.schema, store, SketchEstimator(params, prf))
-
-
-class TestLegacyShims:
-    def test_block_request_bytes_are_unchanged(self):
-        """The shim emits exactly the historical payload, byte for byte."""
-        payload = dumps_block_request((0, 1), [(0, 0), (1, 1)])
-        assert payload == json.dumps(
-            {
-                "format": "repro-block-request",
-                "version": 1,
-                "subset": [0, 1],
-                "values": [[0, 0], [1, 1]],
-            }
-        )
-
-    def test_handle_returns_error_envelope_for_malformed_payload(self):
-        engine = make_engine()
-        reply = handle_block_request(engine, "{truncated")
-        error = loads_error(reply)
-        assert error.code == "malformed_request"
-        assert "Traceback" not in error.message
-
-    def test_handle_returns_error_envelope_for_unknown_format(self):
-        engine = make_engine()
-        reply = handle_block_request(
-            engine, json.dumps({"format": "mystery", "version": 1})
-        )
-        assert loads_error(reply).code == "malformed_request"
-
-    def test_handle_returns_error_envelope_for_wrong_version(self):
-        engine = make_engine()
-        reply = handle_block_request(
-            engine, json.dumps({"format": "repro-block-request", "version": 9})
-        )
-        assert loads_error(reply).code == "unsupported_version"
-
-    def test_handle_returns_error_envelope_for_missing_sketch(self):
-        engine = make_engine()
-        request = dumps_block_request((5, 7), [(1, 1)])
-        error = loads_error(handle_block_request(engine, request))
-        assert error.code == "missing_sketch"
-        assert "(5, 7)" in error.message
-
-    def test_handle_success_path_unchanged(self):
-        engine = make_engine()
-        values = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        reply = handle_block_request(engine, dumps_block_request((0, 1), values))
-        assert loads_block_response(reply) == engine.counts_block((0, 1), values)

@@ -10,6 +10,8 @@ and releases nothing).
 """
 
 import copy
+import json
+import socket
 
 import numpy as np
 import pytest
@@ -17,7 +19,16 @@ import pytest
 from repro.core import BiasedPRF, PrivacyParams, SketchEstimator, Sketcher
 from repro.core.accountant import BudgetExceeded
 from repro.data import bernoulli_panel
-from repro.protocol import CountsBlockRequest, RemoteQueryError
+from repro.protocol import (
+    REQUEST_TAG,
+    CountsBlockRequest,
+    PingRequest,
+    RemoteQueryError,
+    dumps_hello,
+    dumps_request,
+    loads_error,
+    loads_response,
+)
 from repro.queries.ast import Conjunction, Literal
 from repro.queries.conjunctive import LinearPlan, PlanTerm
 from repro.server import (
@@ -125,6 +136,43 @@ class TestParity:
             remote.counts_block((5, 7), [(1, 1)])
         with pytest.raises(ValueError):
             remote.marginal(tuple(range(13)))  # width > 12
+
+
+class TestPerimeterErrorEnvelopes:
+    """A bad request line gets a typed error envelope, never a traceback,
+    and the connection keeps serving."""
+
+    @staticmethod
+    def error_for(engine, line: str):
+        server = RemoteServer(engine, {"alice": "sesame"})
+        with serve_in_thread(server) as (host, port):
+            with socket.create_connection((host, port), timeout=30) as sock:
+                with sock.makefile("rw", encoding="utf-8", newline="\n") as wire:
+                    for out in (dumps_hello("sesame"), line, dumps_request(PingRequest.build())):
+                        wire.write(out + "\n")
+                    wire.flush()
+                    wire.readline()  # the welcome
+                    error = loads_error(wire.readline())
+                    assert loads_response(wire.readline()).result == {"ok": True}
+        assert "Traceback" not in error.message
+        return error
+
+    def test_malformed_line_is_malformed_request(self, engine):
+        assert self.error_for(engine, "{truncated").code == "malformed_request"
+
+    def test_unknown_format_is_malformed_request(self, engine):
+        line = json.dumps({"format": "mystery", "version": 1})
+        assert self.error_for(engine, line).code == "malformed_request"
+
+    def test_wrong_version_is_unsupported_version(self, engine):
+        line = json.dumps({"format": REQUEST_TAG, "version": 9})
+        assert self.error_for(engine, line).code == "unsupported_version"
+
+    def test_missing_sketch_names_the_subset(self, engine):
+        line = dumps_request(CountsBlockRequest.build((5, 7), [(1, 1)]))
+        error = self.error_for(engine, line)
+        assert error.code == "missing_sketch"
+        assert "(5, 7)" in error.message
 
 
 class TestAuth:

@@ -21,6 +21,7 @@ from repro.core import (
     SketchEstimator,
     Sketcher,
 )
+from repro.core.partition import split_columns_at, user_universe
 from repro.data import bernoulli_panel
 from repro.protocol import (
     AnyOfRequest,
@@ -31,6 +32,7 @@ from repro.protocol import (
     ExactlyLRequest,
     FractionRequest,
     MarginalRequest,
+    PingRequest,
     ProtocolError,
     dumps_response,
 )
@@ -42,6 +44,7 @@ from repro.server import (
     RemoteQueryEngine,
     RemoteServer,
     ShardedService,
+    SketchStore,
     publish_database,
     serve_in_thread,
 )
@@ -117,6 +120,13 @@ class TestParity:
             for _pass in ("cold", "warm"):
                 got = dumps_response(coordinator.execute(request))
                 assert got == expected, (request.kind, n_shards, _pass)
+
+    def test_ping_answered_like_the_engine(self, stack):
+        request = PingRequest.build()
+        coordinator = stack["services"][2].coordinator
+        assert dumps_response(coordinator.execute(request)) == dumps_response(
+            stack["engine"].execute(request)
+        )
 
     def test_served_over_the_wire(self, stack):
         """The coordinator is a drop-in engine behind RemoteServer."""
@@ -196,3 +206,89 @@ class TestErrorParity:
             coordinator.execute(CountsBlockRequest.build((9,), [(1,)]))
         with pytest.raises(MissingSketchError, match=r"subset \(5, 6\) was not"):
             coordinator.execute(EstimateManyRequest.build((5, 6), [(1, 1)]))
+
+
+# ----------------------------------------------------------------------
+# A ragged store: shards with no publisher, or no aligned user
+# ----------------------------------------------------------------------
+RAGGED_SUBSETS = [(0, 1), (1, 2), (0,), (1,), (2,), (3,), (4,)]
+RAGGED_SHARDS = [2, 4, 5]
+
+#: (3,) reaches only the first fifth of the users and (4,) only the last
+#: fifth, so most shards hold no publisher of one or both, and no user
+#: published both.
+RAGGED_ANSWERS = [
+    CountsBlockRequest.build((3,), [(0,), (1,)]),
+    CountsBlockRequest.build((4,), [(1,)]),
+    EstimateManyRequest.build((3,), [(1,), (0,)]),
+    MarginalRequest.build((4,)),
+    FractionRequest.build((3,), (1,)),
+    FractionRequest.build((0, 1, 3), (1, 0, 1)),  # partition (0, 1) + (3,)
+    CountsBlockRequest.build((0, 1, 3), [(1, 0, 1), (0, 0, 0)]),
+    CountsBlockRequest.build((1, 2, 4), [(1, 1, 0), (0, 0, 1)]),  # (1, 2) + (4,)
+    AnyOfRequest.build([((3,), (1,)), ((0, 1), (1, 0))]),
+    ExactlyLRequest.build((2, 4), 1),
+    BitMatrixRequest.build((0, 3), 1),
+    BitMatrixRequest.build((4, 2), 0),
+]
+
+#: (3,) x (4,): every piece is published somewhere, but by no common user.
+RAGGED_ERRORS = [
+    FractionRequest.build((3, 4), (1, 1)),
+    CountsBlockRequest.build((3, 4), [(1, 0)]),
+    AnyOfRequest.build([((3,), (1,)), ((4,), (1,))]),
+    ExactlyLRequest.build((3, 4), 7),  # alignment fails before the l check
+    BitMatrixRequest.build((3, 4), 1),
+]
+
+
+@pytest.fixture(scope="module")
+def ragged(tmp_path_factory):
+    params = PrivacyParams(p=0.3)
+    prf = CounterPRF(p=0.3, global_key=GLOBAL_KEY)
+    database = bernoulli_panel(100, 5, rng=np.random.default_rng(21))
+    sketcher = Sketcher(params, prf, sketch_bits=8, rng=np.random.default_rng(22))
+    published = publish_database(database, sketcher, RAGGED_SUBSETS, workers=1, seed=21)
+    columns = published.to_columns()
+    universe = user_universe(columns)
+    head, _ = split_columns_at(columns, universe[len(universe) // 5])
+    _, tail = split_columns_at(columns, universe[4 * len(universe) // 5])
+    columns[(3,)] = head[(3,)]
+    columns[(4,)] = tail[(4,)]
+    store = SketchStore.from_columns(columns)
+    engine = QueryEngine(database.schema, store, SketchEstimator(params, prf))
+    base = tmp_path_factory.mktemp("ragged")
+    services = {}
+    try:
+        for n_shards in RAGGED_SHARDS:
+            services[n_shards] = ShardedService.from_store(
+                store, prf, n_shards, base / f"n{n_shards}", cache=True
+            ).start()
+        yield engine, services
+    finally:
+        for service in services.values():
+            service.close()
+
+
+class TestRaggedParity:
+    @pytest.mark.parametrize("n_shards", RAGGED_SHARDS)
+    def test_answers_bit_identical(self, ragged, n_shards):
+        engine, services = ragged
+        coordinator = services[n_shards].coordinator
+        for request in RAGGED_ANSWERS:
+            expected = dumps_response(engine.execute(request))
+            assert dumps_response(coordinator.execute(request)) == expected, (
+                request, n_shards,
+            )
+
+    @pytest.mark.parametrize("n_shards", RAGGED_SHARDS)
+    def test_no_common_user_errors_match(self, ragged, n_shards):
+        engine, services = ragged
+        coordinator = services[n_shards].coordinator
+        for request in RAGGED_ERRORS:
+            expected = raises_of(engine.execute, request)
+            assert expected is not None and expected[0] is ValueError, request
+            assert "no user published sketches for all of" in expected[1]
+            assert raises_of(coordinator.execute, request) == expected, (
+                request, n_shards,
+            )
