@@ -11,8 +11,10 @@ actually overlap on it.  Two floors, both statements about the software:
   (``evaluate_block`` at M users x 256 values) through the compiled
   tier vs the NumPy tier of the *same* ``CounterPRF``, asserting >=3x
   at M=50k (``--quick`` relaxes to 2x at M=8k, where fixed dispatch
-  overhead weighs more).  The two blocks are asserted bit-identical at
-  benchmark scale before any timing is trusted.
+  overhead weighs more).  Each arm is a whole tier: ``hashlib``
+  subkeys + NumPy Philox against C BLAKE2b subkeys + fused C Philox.
+  The two blocks are asserted bit-identical at benchmark scale before
+  any timing is trusted.
 * **concurrent serving** — 16 clients hammering one ``RemoteServer``
   with cache-cold ``counts_block`` requests, thread-pool dispatch vs
   the inline (``pool_size=0``) baseline, asserting >=2x throughput.

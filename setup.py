@@ -4,13 +4,15 @@ The environment has no `wheel` package (offline), so PEP 660 editable
 installs fail; `pip install -e . --no-use-pep517 --no-build-isolation`
 falls back to `setup.py develop`, which this shim enables.
 
-The `repro.core.kernels._ckernel` extension (the GIL-releasing fused
-Philox threshold kernel) builds with
+The `repro.core.kernels._ckernel` extension (the GIL-releasing kernel
+tier: CounterPRF's keyed BLAKE2b subkeys per RFC 7693 and the fused
+Philox threshold passes) builds with
 
     python setup.py build_ext --inplace
 
 and is strictly optional: every caller falls back to the bit-identical
-NumPy tier when the extension is missing (see repro/core/kernels).
+NumPy tier (hashlib subkeys, NumPy Philox) when the extension is missing
+(see repro/core/kernels).
 """
 
 import numpy

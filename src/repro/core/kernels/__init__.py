@@ -1,17 +1,23 @@
-"""The kernel tier: compiled fused CounterPRF hot loop with a NumPy twin.
+"""The kernel tier: CounterPRF's two bulk stages, compiled, with NumPy twins.
 
-:class:`~repro.core.prf.CounterPRF`'s bulk entry points all reduce to one
-shape of work — Philox4x64-10 expansion at zero-tail counters, a
-threshold compare, and an int8 bit out — driven over three layouts (a
-key run, a ``(users x blocks)`` lattice, per-user key rows).  This
-package serves that shape through one of two interchangeable tiers:
+:class:`~repro.core.prf.CounterPRF`'s bulk entry points all reduce to two
+shapes of work:
 
-* **c** — the ``_ckernel`` extension (built by ``setup.py``): single
-  fused C passes that release the GIL for their whole duration, so
-  concurrent queries dispatched to a thread pool genuinely run on
-  multiple cores;
-* **numpy** — the pre-existing array-arithmetic path over
-  :mod:`repro.core.philox`, always available.
+* **subkeys** — one keyed, personalised BLAKE2b digest per ``(id, B)``
+  over the canonical ``id | B`` prefix, returned as two uint64 word
+  columns (:func:`subkeys`);
+* **threshold** — Philox4x64-10 expansion at zero-tail counters, a
+  threshold compare, and an int8 bit out, driven over three layouts (a
+  key run, a ``(users x blocks)`` lattice, per-user key rows).
+
+This package serves both through one of two interchangeable tiers:
+
+* **c** — the ``_ckernel`` extension (built by ``setup.py``): a portable
+  RFC 7693 BLAKE2b and single fused Philox passes, all releasing the GIL
+  for their whole duration, so concurrent queries dispatched to a thread
+  pool genuinely run on multiple cores;
+* **numpy** — ``hashlib.blake2b`` for the subkeys and the array-arithmetic
+  path over :mod:`repro.core.philox` for the expansion, always available.
 
 Selection order: the compiled tier is used when the extension imports
 and the environment does not say otherwise; ``REPRO_KERNEL=numpy``
@@ -22,10 +28,12 @@ runtime (the CLI's ``--kernel`` flag and the parity tests use it).
 
 The two tiers are **bit-identical**: both implement the exact
 Philox4x64-10 parameterisation pinned against ``numpy.random.Philox``,
-and the test suite asserts equality across every ``CounterPRF`` entry
-point.  Either tier may therefore be picked per process, per run, or
-mid-session without touching any persisted artifact — evaluation caches,
-stores and wire payloads never record which tier produced them.
+the compiled subkeys are pinned against ``hashlib`` (differential and
+known-answer tests), and the test suite asserts equality across every
+``CounterPRF`` entry point.  Either tier may therefore be picked per
+process, per run, or mid-session without touching any persisted artifact
+— evaluation caches, stores and wire payloads never record which tier
+produced them.
 
 Thread-safety: every kernel function is a pure function of its inputs
 into a freshly allocated output array — no shared scratch, no module
@@ -36,8 +44,9 @@ start-up and tests, not for concurrent use mid-serving.)
 
 from __future__ import annotations
 
+import hashlib
 import os
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -47,6 +56,7 @@ __all__ = [
     "active",
     "available",
     "select",
+    "subkeys",
     "threshold_keys",
     "threshold_block",
     "threshold_grid",
@@ -101,8 +111,28 @@ def select(name: str) -> str:
 
 
 # ----------------------------------------------------------------------
-# NumPy twin — the pre-existing array-arithmetic path, verbatim.
+# NumPy twin — hashlib subkeys and the array-arithmetic Philox path.
 # ----------------------------------------------------------------------
+def _numpy_subkeys(
+    key: bytes,
+    person: bytes,
+    user_ids: Sequence[str],
+    subset_length: int,
+    tail: bytes,
+) -> Tuple[np.ndarray, np.ndarray]:
+    copy = hashlib.blake2b(key=key, digest_size=16, person=person).copy
+    length = int(subset_length).to_bytes(4, "big")
+    buffer = bytearray()
+    for user_id in user_ids:
+        state = copy()
+        state.update(
+            len(user_id).to_bytes(4, "big") + length + user_id.encode("utf-8") + tail
+        )
+        buffer += state.digest()
+    words = np.frombuffer(bytes(buffer), dtype="<u8").reshape(-1, 2)
+    return np.ascontiguousarray(words[:, 0]), np.ascontiguousarray(words[:, 1])
+
+
 def _numpy_threshold_keys(
     block: int, keys: np.ndarray, k0: int, k1: int, lane: int, threshold: int
 ) -> np.ndarray:
@@ -158,6 +188,27 @@ def _numpy_threshold_grid(
 # ----------------------------------------------------------------------
 # Dispatching entry points
 # ----------------------------------------------------------------------
+def subkeys(
+    key: bytes,
+    person: bytes,
+    user_ids: Sequence[str],
+    subset_length: int,
+    tail: bytes,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-user 128-bit subkeys as two ``(M,)`` uint64 word columns.
+
+    Row ``m`` holds the little-endian words of the 16-byte BLAKE2b digest
+    keyed by ``key`` and personalised by ``person`` over
+    ``be32(len(id)) || be32(subset_length) || utf8(id) || tail`` — the
+    canonical ``id | B`` prefix when ``tail`` is the subset blob.  Ids
+    must be ``str``; one that UTF-8 cannot encode (a lone surrogate)
+    raises ``UnicodeEncodeError`` under either tier.
+    """
+    if _active == "c":
+        return _ckernel.subkeys(key, person, user_ids, int(subset_length), tail)
+    return _numpy_subkeys(key, person, user_ids, subset_length, tail)
+
+
 def threshold_keys(
     block: int, keys: np.ndarray, k0: int, k1: int, lane: int, threshold: int
 ) -> np.ndarray:

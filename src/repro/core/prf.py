@@ -66,16 +66,6 @@ _PRECISION_BITS = 64
 _SCALE = 1 << _PRECISION_BITS
 
 
-def _prefix_head(user_id: str, subset_length: int) -> bytes:
-    """The per-user half of the canonical prefix: both length headers
-    plus the encoded id."""
-    return (
-        len(user_id).to_bytes(4, "big")
-        + int(subset_length).to_bytes(4, "big")
-        + user_id.encode("utf-8")
-    )
-
-
 def _subset_blob(subset: Tuple[int, ...]) -> bytes:
     """The per-subset half of the canonical prefix — constant per ``B``,
     so bulk paths hoist it out of their per-user loops."""
@@ -88,7 +78,12 @@ def _payload_prefix(user_id: str, subset: Tuple[int, ...]) -> bytes:
     The header length-prefixes both variable components, keeping the full
     encoding injective no matter how the three pieces are spliced.
     """
-    return _prefix_head(user_id, len(subset)) + _subset_blob(subset)
+    return (
+        len(user_id).to_bytes(4, "big")
+        + len(subset).to_bytes(4, "big")
+        + user_id.encode("utf-8")
+        + _subset_blob(subset)
+    )
 
 
 def validate_value_bits(value: Sequence[int]) -> Tuple[int, ...]:
@@ -460,11 +455,13 @@ class CounterPRF(BiasedFunction):
        per-point Python (see :mod:`repro.core.philox`);
     3. **threshold** — the usual comparison against ``floor(p * 2**64)``.
 
-    Steps 2–3 are served by the **kernel tier**
-    (:mod:`repro.core.kernels`): a GIL-releasing fused C pass when the
-    compiled extension is built, the NumPy array-arithmetic twin
-    otherwise — the two are bit-identical and selection never changes
-    any output.
+    All three steps are served by the **kernel tier**
+    (:mod:`repro.core.kernels`).  With the compiled extension built, the
+    subkeys come from its RFC 7693 BLAKE2b and steps 2–3 from one fused
+    Philox pass, all with the GIL released; otherwise ``hashlib`` derives
+    the subkeys and the NumPy array-arithmetic twin expands them.  The two
+    tiers are pinned bit-identical (the scalar :meth:`_subkey` stays on
+    ``hashlib`` as their oracle), so selection never changes any output.
 
     This is still a PRF under standard assumptions: the BLAKE2b step is a
     PRF from ``(id, B)`` to subkeys, and Philox keyed by a uniform
@@ -503,8 +500,8 @@ class CounterPRF(BiasedFunction):
                 f"global_key must be 16-64 bytes for keyed BLAKE2b, got {len(global_key)}"
             )
         self.global_key = global_key
-        # The keyed, personalised state is constant; per-subkey calls
-        # copy() it and absorb the (id, B) prefix.
+        # The keyed, personalised state is constant; the scalar _subkey
+        # (the kernel tier's oracle) copy()s it and absorbs the prefix.
         self._subkey_base = hashlib.blake2b(
             key=global_key, digest_size=16, person=self._PERSON
         )
@@ -527,21 +524,14 @@ class CounterPRF(BiasedFunction):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-user subkey word columns — the bulk form of :meth:`_subkey`.
 
-        One keyed BLAKE2b call per user is the construction's entire
-        Python-level hashing bill; the constant ``|B|`` tail of the
-        canonical prefix is built once and the digests decode in one
-        ``frombuffer`` pass, byte-identical to looping :meth:`_subkey`.
+        Computed by :func:`repro.core.kernels.subkeys` (compiled BLAKE2b
+        with the GIL released, or the ``hashlib`` loop on the NumPy
+        tier); the constant ``|B|`` tail of the canonical prefix is built
+        once per call.  Byte-identical to looping :meth:`_subkey`.
         """
-        subset_length = len(subset)
-        tail = _subset_blob(subset)
-        copy = self._subkey_base.copy
-        buffer = bytearray()
-        for user_id in user_ids:
-            state = copy()
-            state.update(_prefix_head(user_id, subset_length) + tail)
-            buffer += state.digest()
-        words = np.frombuffer(bytes(buffer), dtype="<u8").reshape(-1, 2)
-        return np.ascontiguousarray(words[:, 0]), np.ascontiguousarray(words[:, 1])
+        return kernels.subkeys(
+            self.global_key, self._PERSON, user_ids, len(subset), _subset_blob(subset)
+        )
 
     def _value_int(self, subset_t: Tuple[int, ...], value: Sequence[int]) -> int:
         """The candidate value as an MSB-first integer counter coordinate."""
@@ -619,9 +609,8 @@ class CounterPRF(BiasedFunction):
         if len(keys) == 0:
             return np.zeros(0, dtype=np.int8)
         k0, k1 = self._subkey(str(user_id), subset_t)
-        key_array = np.fromiter((int(k) for k in keys), dtype=np.uint64)
         return kernels.threshold_keys(
-            v_int >> 2, key_array, k0, k1, v_int & 3, self._threshold
+            v_int >> 2, _key_array(keys), k0, k1, v_int & 3, self._threshold
         )
 
     def evaluate_block(
@@ -632,7 +621,7 @@ class CounterPRF(BiasedFunction):
         keys: Iterable[int],
     ) -> np.ndarray:
         users = [str(uid) for uid in user_ids]
-        key_array = np.fromiter((int(k) for k in keys), dtype=np.uint64)
+        key_array = _key_array(keys)
         if len(users) != key_array.size:
             raise ValueError(
                 f"user_ids and keys must align, got {len(users)} and {key_array.size}"
@@ -698,6 +687,14 @@ class CounterPRF(BiasedFunction):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CounterPRF(p={self.p}, key=<{len(self.global_key)} bytes>)"
+
+
+def _key_array(keys: Iterable[int]) -> np.ndarray:
+    """Keys as a 1-D uint64 array; a store's uint64 key column passes
+    through as is instead of round-tripping through Python ints."""
+    if isinstance(keys, np.ndarray) and keys.dtype == np.uint64 and keys.ndim == 1:
+        return keys
+    return np.fromiter((int(k) for k in keys), dtype=np.uint64)
 
 
 def _parse_payload(payload: bytes) -> Tuple[str, Tuple[int, ...], Tuple[int, ...], int]:

@@ -127,6 +127,15 @@ def _int_tuple(values: Sequence[int], what: str) -> Tuple[int, ...]:
         raise ProtocolError("malformed_request", f"malformed {what}: {exc}") from exc
 
 
+def _positions(values: Sequence[int]) -> Tuple[int, ...]:
+    positions = _int_tuple(values, "positions")
+    if not positions:
+        raise ProtocolError(
+            "malformed_request", "malformed positions: need at least one bit position"
+        )
+    return positions
+
+
 def _value_tuple(value: Sequence[int], width: int, what: str) -> Tuple[int, ...]:
     value_t = _int_tuple(value, what)
     if len(value_t) != width:
@@ -344,7 +353,7 @@ class ExactlyLRequest(QueryRequest):
             l_int = int(l)
         except (TypeError, ValueError) as exc:
             raise ProtocolError("malformed_request", f"malformed l: {exc}") from exc
-        return cls(positions=_int_tuple(positions, "positions"), l=l_int)
+        return cls(positions=_positions(positions), l=l_int)
 
     @classmethod
     def _from_body(cls, body: dict) -> "ExactlyLRequest":
@@ -369,7 +378,7 @@ class BitMatrixRequest(QueryRequest):
             target_int = int(target)
         except (TypeError, ValueError) as exc:
             raise ProtocolError("malformed_request", f"malformed target: {exc}") from exc
-        return cls(positions=_int_tuple(positions, "positions"), target=target_int)
+        return cls(positions=_positions(positions), target=target_int)
 
     @classmethod
     def _from_body(cls, body: dict) -> "BitMatrixRequest":

@@ -1,12 +1,14 @@
 """The kernel tier contract: compiled and NumPy tiers are bit-identical,
 and the engine's execute path is safe under concurrent dispatch.
 
-Two layers of guarantees:
+Three layers of guarantees:
 
 * **kernel level** — ``threshold_keys`` / ``threshold_block`` /
   ``threshold_grid`` produce identical bits under either tier for
   hypothesis-generated inputs (counters near the lane boundaries, full
-  uint64 keys, degenerate thresholds);
+  uint64 keys, degenerate thresholds), and the compiled ``subkeys``
+  BLAKE2b equals its ``hashlib`` twin for any key length, unicode id and
+  prefix length, raising the same errors, also under concurrent calls;
 * **PRF level** — every ``CounterPRF`` entry point (``evaluate``,
   ``evaluate_keys``, ``evaluate_block``, ``evaluate_grid``,
   ``evaluate_many``) answers identically with ``kernels.select("c")``
@@ -23,6 +25,7 @@ the extension and runs this file under both ``REPRO_KERNEL`` settings.
 
 from __future__ import annotations
 
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,6 +36,7 @@ from hypothesis import strategies as st
 
 from repro.core import CounterPRF, kernels
 from repro.core import philox as _philox
+from repro.core.prf import _subset_blob
 
 needs_c = pytest.mark.skipif(
     not kernels.available(), reason="compiled kernel extension not built"
@@ -151,6 +155,114 @@ class TestKernelBitIdentity:
         # pins the root cause message.
         assert int(_philox._W0) == 0x9E3779B97F4A7C15
         assert int(_philox._W1) == 0xBB67AE8584CAA73B
+
+
+# ----------------------------------------------------------------------
+# Subkeys: the compiled RFC 7693 BLAKE2b against its hashlib twin
+# ----------------------------------------------------------------------
+PERSON = CounterPRF._PERSON
+
+#: Arbitrary unicode, minus lone surrogates (UTF-8 cannot encode them).
+user_ids = st.text(st.characters(blacklist_categories=("Cs",)), max_size=80)
+
+
+def _subkeys_both_tiers(key, ids, subset):
+    args = (key, PERSON, ids, len(subset), _subset_blob(subset))
+    c = _with_tier("c", kernels.subkeys, *args)
+    ref = _with_tier("numpy", kernels.subkeys, *args)
+    for c_words, ref_words in zip(c, ref):
+        assert c_words.dtype == ref_words.dtype == np.uint64
+        np.testing.assert_array_equal(c_words, ref_words)
+    return c
+
+
+@needs_c
+class TestSubkeysBitIdentity:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.binary(min_size=16, max_size=64),
+        ids=st.lists(user_ids, max_size=12),
+        subset=st.lists(st.integers(0, (1 << 32) - 1), max_size=62).map(tuple),
+    )
+    def test_matches_hashlib(self, key, ids, subset):
+        subkey0, subkey1 = _subkeys_both_tiers(key, ids, subset)
+        # ... and the scalar hashlib oracle, id by id.
+        prf = CounterPRF(p=0.3, global_key=key)
+        assert [prf._subkey(uid, subset) for uid in ids] == list(
+            zip(subkey0.tolist(), subkey1.tolist())
+        )
+
+    def test_block_boundaries(self):
+        # Prefix = 8 header bytes + id + b"|B|" + 4 per position: with one
+        # position, ids of 112-114 and 240-242 bytes put the prefix at
+        # 127-129 and 255-257 bytes, either side of each 128-byte block.
+        ids = ["a" * n for n in (112, 113, 114, 240, 241, 242)]
+        ids += ["é" * 56, "é" * 57, "𝄞" * 60, "𝄞" * 61]
+        for key in (b"k" * 16, bytes(range(64))):
+            _subkeys_both_tiers(key, ids, (7,))
+            _subkeys_both_tiers(key, ids, tuple(range(62)))
+
+    def test_empty_list(self):
+        subkey0, subkey1 = _subkeys_both_tiers(b"k" * 32, [], (0, 1))
+        assert subkey0.shape == subkey1.shape == (0,)
+
+    def test_accepts_any_sequence(self):
+        ids = ["a", "b", "ç"]
+        expected = _subkeys_both_tiers(b"k" * 32, ids, (2,))
+        for form in (tuple(ids), iter(ids)):
+            got = _with_tier(
+                "c", kernels.subkeys, b"k" * 32, PERSON, form, 1, _subset_blob((2,))
+            )
+            np.testing.assert_array_equal(got[0], expected[0])
+            np.testing.assert_array_equal(got[1], expected[1])
+
+    @pytest.mark.parametrize("tier", ["c", "numpy"])
+    def test_lone_surrogate_raises_unicode_error(self, tier):
+        with pytest.raises(UnicodeEncodeError):
+            _with_tier(
+                tier, kernels.subkeys, b"k" * 32, PERSON, ["ok", "bad\ud800"], 1, b"|B|"
+            )
+
+    @pytest.mark.parametrize("item", [1, b"bytes", None, 2.5])
+    def test_non_str_raises_type_error(self, item):
+        with pytest.raises(TypeError, match="user_ids must be str"):
+            _with_tier(
+                "c", kernels.subkeys, b"k" * 32, PERSON, ["ok", item], 1, b"|B|"
+            )
+
+    def test_concurrent_calls_match_sequential(self):
+        # The hash loop runs with the GIL released: overlapping calls on
+        # distinct inputs must each equal their sequential answer.
+        key = b"concurrent-subkeys-key"
+        batches = [
+            [f"user-{worker}-{i}" for i in range(4000)] + ["ünï-" * worker]
+            for worker in range(8)
+        ]
+        tail = _subset_blob((1, 4, 9))
+        expected = [
+            _with_tier("numpy", kernels.subkeys, key, PERSON, ids, 3, tail)
+            for ids in batches
+        ]
+        barrier = threading.Barrier(8)
+
+        def hammer(worker):
+            barrier.wait(timeout=60)
+            ids = batches[worker]
+            return [kernels.subkeys(key, PERSON, ids, 3, tail) for _ in range(3)]
+
+        before, interval = kernels.active(), sys.getswitchinterval()
+        kernels.select("c")
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(hammer, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+            kernels.select(before)
+        for worker, repeats in enumerate(results):
+            for subkey0, subkey1 in repeats:
+                np.testing.assert_array_equal(subkey0, expected[worker][0])
+                np.testing.assert_array_equal(subkey1, expected[worker][1])
 
 
 # ----------------------------------------------------------------------

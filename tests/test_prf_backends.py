@@ -19,6 +19,7 @@ from repro.core import (
     Sketcher,
     TrueRandomOracle,
     encode_input,
+    kernels,
     prf_from_spec,
 )
 from repro.core.philox import (
@@ -212,6 +213,104 @@ class TestCrossProcessDeterminism:
             [sys.executable, "-c", script], capture_output=True, text=True, check=True
         )
         assert json.loads(output.stdout) == local.tolist()
+
+
+# Known answers for CounterPRF under a fixed 32-byte key.  Every stored
+# sketch and evaluation-cache directory depends on this function, so the
+# constants are frozen: no kernel tier may drift them.
+KAT_KEY = bytes(range(32))
+
+#: ASCII, non-ASCII, non-BMP, empty, and an id whose canonical prefix is
+#: longer than one 128-byte BLAKE2b block at every width.
+KAT_IDS = ["alice", "zoë-müller", "用户-7", "𝄞-clef-😀", "", "long-" + "é" * 70]
+
+KAT_SUBSETS = {0: (), 1: (5,), 8: tuple(range(3, 11)), 62: tuple(range(62))}
+
+#: (subkey0, subkey1) per KAT id, by subset width.
+KAT_SUBKEYS = {
+    0: [
+        ("bbe92c8247976af6", "2cd5e9300da066b4"),
+        ("57d5ec2a0a427d52", "2f6817c2ca5b6455"),
+        ("16f365afe92e2853", "ac468a8571b93c6f"),
+        ("24e17372ba77f34d", "b787d54fc8d125c5"),
+        ("0a31e2dd0c2868d3", "8f59e243a7d4cedb"),
+        ("84be694255c1b3d3", "b28658198ccbd512"),
+    ],
+    1: [
+        ("38b4b63c14bb3b15", "5b7c5ec6a936d1fb"),
+        ("6c067374dead10df", "1987763d67c1b41d"),
+        ("99c21fe76a9f7040", "0ab330dfdc8b2b8d"),
+        ("2888befb1221d433", "24c64f6d3bdcec7e"),
+        ("b3423839ec97caaa", "f4e7bc9af68d99eb"),
+        ("538e025c0d2e672b", "01e1ed01fd1d6c38"),
+    ],
+    8: [
+        ("370d50230460c6d1", "782a809afba6eb69"),
+        ("b86cd08169a23ee2", "00774d905bc4f358"),
+        ("af8e2810eef77c33", "4ffa969ece9d2b01"),
+        ("e03d6bf0112a36cf", "8dcc8885583f0af3"),
+        ("d8631c6464247373", "34045a8912242e70"),
+        ("04a0fc31257c9d23", "2c24c41c50f345c0"),
+    ],
+    62: [
+        ("8242ec3378da6606", "8c54de9719c2cbcc"),
+        ("29251bbd224ea14b", "5e91b817a8a89960"),
+        ("0f1c20d7abc1b186", "e4cd6ddbe0fc32b9"),
+        ("3996d46e5ff27885", "7eac57bdaca0a6e8"),
+        ("a1c40d00303f4a06", "f606ce0e5cbca0a4"),
+        ("2c707892413697d0", "96cb0ae4cca949cd"),
+    ],
+}
+
+#: evaluate_block column (p = 0.5) over the KAT ids plus user-0..57 with
+#: keys 2654435761 * m, for the value (i * 5 + 1) % 3 % 2 at bit i;
+#: np.packbits of the 64 bits, as hex.
+KAT_COLUMNS = {
+    0: "2a4ca3a404229112",
+    1: "e025f625fdf79ea0",
+    8: "e65cfc39df586f14",
+    62: "347e9e6ddc181427",
+}
+
+
+@pytest.fixture(params=["c", "numpy"])
+def kernel_tier(request):
+    if request.param == "c" and not kernels.available():
+        pytest.skip("compiled kernel extension not built")
+    before = kernels.active()
+    kernels.select(request.param)
+    yield request.param
+    kernels.select(before)
+
+
+class TestKnownAnswers:
+    @pytest.mark.parametrize("width", sorted(KAT_SUBSETS))
+    def test_subkey_columns(self, kernel_tier, width):
+        prf = CounterPRF(p=0.5, global_key=KAT_KEY)
+        subkey0, subkey1 = prf._subkey_columns(KAT_IDS, KAT_SUBSETS[width])
+        got = [
+            (f"{a:016x}", f"{b:016x}")
+            for a, b in zip(subkey0.tolist(), subkey1.tolist())
+        ]
+        assert got == KAT_SUBKEYS[width]
+        # The scalar hashlib oracle agrees with the pinned words.
+        for user_id, (word0, word1) in zip(KAT_IDS, KAT_SUBKEYS[width]):
+            assert prf._subkey(user_id, KAT_SUBSETS[width]) == (
+                int(word0, 16),
+                int(word1, 16),
+            )
+
+    @pytest.mark.parametrize("width", sorted(KAT_SUBSETS))
+    def test_evaluate_block_column(self, kernel_tier, width):
+        prf = CounterPRF(p=0.5, global_key=KAT_KEY)
+        users = KAT_IDS + [f"user-{i}" for i in range(58)]
+        keys = np.arange(64, dtype=np.uint64) * np.uint64(2654435761)
+        value = tuple((i * 5 + 1) % 3 % 2 for i in range(width))
+        # The store's uint64 key column and a plain int list: same bits.
+        for key_input in (keys, keys.tolist()):
+            column = prf.evaluate_block(users, KAT_SUBSETS[width], [value], key_input)
+            packed = np.packbits(column[:, 0].astype(np.uint8)).tobytes().hex()
+            assert packed == KAT_COLUMNS[width]
 
 
 class TestSpecs:

@@ -11,6 +11,8 @@ match too: same exception type, same message, same precedence.
 
 from __future__ import annotations
 
+import socket
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,11 @@ from repro.protocol import (
     MarginalRequest,
     PingRequest,
     ProtocolError,
+    dumps_hello,
+    dumps_request,
     dumps_response,
+    loads_error,
+    loads_response,
 )
 from repro.queries.ast import Conjunction
 from repro.queries.conjunctive import LinearPlan, PlanTerm
@@ -206,6 +212,50 @@ class TestErrorParity:
             coordinator.execute(CountsBlockRequest.build((9,), [(1,)]))
         with pytest.raises(MissingSketchError, match=r"subset \(5, 6\) was not"):
             coordinator.execute(EstimateManyRequest.build((5, 6), [(1, 1)]))
+
+
+class TestEmptyPositions:
+    """``bit_matrix`` / ``exactly_l`` over no positions: a typed
+    ``malformed_request`` on every path (in process, over TCP, sharded),
+    refused at the perimeter before any charge — never an internal error."""
+
+    #: Wire forms, built past the validating ``build`` constructors.
+    RAW = [BitMatrixRequest(positions=(), target=1), ExactlyLRequest(positions=(), l=0)]
+
+    @staticmethod
+    def target(stack, n_shards):
+        if n_shards is None:
+            return stack["engine"]
+        return stack["services"][n_shards].coordinator
+
+    @pytest.mark.parametrize("n_shards", [None, 2], ids=["engine", "sharded"])
+    def test_in_process(self, stack, n_shards):
+        target = self.target(stack, n_shards)
+        for call in (lambda: target.bit_matrix(()), lambda: target.exactly_l([], 0)):
+            with pytest.raises(ProtocolError) as info:
+                call()
+            assert info.value.code == "malformed_request"
+            assert "at least one bit position" in str(info.value)
+
+    @pytest.mark.parametrize("n_shards", [None, 2], ids=["engine", "sharded"])
+    def test_over_tcp(self, stack, n_shards):
+        server = RemoteServer(
+            self.target(stack, n_shards), {"alice": "sesame"}, epsilon=1000.0
+        )
+        before = server.remaining_sketches("alice")
+        lines = [dumps_hello("sesame")]
+        lines += [dumps_request(request) for request in self.RAW]
+        lines.append(dumps_request(PingRequest.build()))
+        with serve_in_thread(server) as (host, port):
+            with socket.create_connection((host, port), timeout=30) as sock:
+                with sock.makefile("rw", encoding="utf-8", newline="\n") as wire:
+                    wire.write("".join(line + "\n" for line in lines))
+                    wire.flush()
+                    wire.readline()  # the welcome
+                    errors = [loads_error(wire.readline()) for _ in self.RAW]
+                    assert loads_response(wire.readline()).result == {"ok": True}
+        assert [error.code for error in errors] == ["malformed_request"] * 2
+        assert server.remaining_sketches("alice") == before
 
 
 # ----------------------------------------------------------------------
