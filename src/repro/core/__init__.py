@@ -33,10 +33,8 @@ from .combine import (
     weight_histogram,
 )
 from .partition import (
-    merge_bounds,
     merge_columns,
     range_bounds,
-    split_bounds,
     split_columns_at,
     split_columns_by_user_range,
     user_universe,
@@ -95,7 +93,6 @@ __all__ = [
     "encode_input",
     "epsilon_for_p",
     "exact_failure_probability",
-    "merge_bounds",
     "merge_columns",
     "mixed_perturbation_matrix",
     "p_for_epsilon",
@@ -104,7 +101,6 @@ __all__ = [
     "publish_probability",
     "range_bounds",
     "solve_weight_counts",
-    "split_bounds",
     "split_columns_at",
     "split_columns_by_user_range",
     "transition_probability",

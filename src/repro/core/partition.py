@@ -31,10 +31,8 @@ from typing import Dict, List, Tuple, TypeVar
 import numpy as np
 
 __all__ = [
-    "merge_bounds",
     "merge_columns",
     "range_bounds",
-    "split_bounds",
     "split_columns_at",
     "split_columns_by_user_range",
     "user_universe",
@@ -80,37 +78,6 @@ def range_bounds(num_users: int, n_shards: int) -> List[Tuple[int, int]]:
         bounds.append((lo, hi))
         lo = hi
     return bounds
-
-
-def split_bounds(bounds: Tuple[int, int], at: int) -> List[Tuple[int, int]]:
-    """Split one ``[lo, hi)`` index range into two at interior point ``at``.
-
-    Both halves are non-empty: ``lo < at < hi`` is required, so splitting
-    can never manufacture an empty shard.  ``merge_bounds`` is the exact
-    inverse: ``merge_bounds(*split_bounds(b, at)) == b`` for every valid
-    ``at``, which the hypothesis suite asserts round-trip.
-    """
-    lo, hi = bounds
-    if not lo < at < hi:
-        raise ValueError(
-            f"split point {at} must lie strictly inside [{lo}, {hi})"
-        )
-    return [(lo, at), (at, hi)]
-
-
-def merge_bounds(left: Tuple[int, int], right: Tuple[int, int]) -> Tuple[int, int]:
-    """Merge two *adjacent* ``[lo, hi)`` index ranges into one.
-
-    Adjacency (``left[1] == right[0]``) is required — merging
-    non-neighbouring ranges would break the contiguity invariant that
-    makes shard concatenation reproduce single-store alignment.
-    """
-    if left[1] != right[0]:
-        raise ValueError(
-            f"ranges {left} and {right} are not adjacent; "
-            "only neighbouring shards can merge"
-        )
-    return (left[0], right[1])
 
 
 def _filter_columns(

@@ -731,7 +731,8 @@ class ShardSnapshotRequest(QueryRequest):
     ``op="carve"``: write the worker's columns split at ``boundary``
     (worker-chosen median when omitted) to ``left_path`` / ``right_path``
     plus a warm-cache sidecar for the right half at ``warm_path``; the
-    worker keeps serving its full range from memory.  ``op="export"``:
+    worker keeps serving its full range from memory and stages its left
+    half for a later ``shard_commit`` of ``left_path``.  ``op="export"``:
     write the whole store to ``right_path`` and every warm entry to
     ``warm_path`` (the merge prepare).  All files are fsync'd before the
     reply, so a later "acked" checkpoint can roll forward from disk
@@ -802,47 +803,24 @@ class ShardSnapshotRequest(QueryRequest):
         return ()
 
 
-#: Stages of a worker-side rebalance mutation.  ``prepare`` builds the
-#: post-handoff engine off to the side (a read: the worker keeps serving
-#: its current range), ``commit`` installs the staged engine (a pointer
-#: swap, so the coordinator's commit barrier holds for microseconds, not
-#: for a store rebuild), ``all`` does both in one call.
-REBALANCE_STAGES = ("prepare", "commit", "all")
-
-
-def _valid_stage(stage: str) -> str:
-    if stage not in REBALANCE_STAGES:
-        raise ValueError(
-            f"unknown rebalance stage {stage!r}; choose from {list(REBALANCE_STAGES)}"
-        )
-    return stage
-
-
 @dataclass(frozen=True)
 class ShardAdoptRequest(QueryRequest):
     """Worker-internal merge step: load the handoff store at
     ``handoff_path``, merge it after the worker's own range, persist the
-    merged store to ``save_path``, and install any carried warm entries
-    from ``warm_path``.  ``stage="prepare"`` does the heavy lifting
-    while the worker keeps serving; ``stage="commit"`` swaps the staged
-    engine in under the worker's write gate while the coordinator holds
-    the commit barrier.  Not part of the analyst surface."""
+    merged store to ``save_path``, and stage the merged engine (with any
+    carried warm entries from ``warm_path``) while the worker keeps
+    serving its own range.  A later ``shard_commit`` for ``save_path``
+    swaps it in.  Not part of the analyst surface."""
 
     handoff_path: str
     warm_path: Optional[str]
     save_path: str
-    stage: str
 
     kind: ClassVar[str] = "shard_adopt"
 
     @classmethod
     def build(
-        cls,
-        handoff_path: str,
-        save_path: str,
-        *,
-        warm_path: Optional[str] = None,
-        stage: str = "all",
+        cls, handoff_path: str, save_path: str, *, warm_path: Optional[str] = None
     ) -> "ShardAdoptRequest":
         return cls(
             handoff_path=_nonempty_str(handoff_path, "handoff_path"),
@@ -850,7 +828,6 @@ class ShardAdoptRequest(QueryRequest):
             if warm_path is None
             else _nonempty_str(warm_path, "warm_path"),
             save_path=_nonempty_str(save_path, "save_path"),
-            stage=_valid_stage(stage),
         )
 
     def body(self) -> dict:
@@ -859,7 +836,6 @@ class ShardAdoptRequest(QueryRequest):
             "handoff_path": self.handoff_path,
             "warm_path": self.warm_path,
             "save_path": self.save_path,
-            "stage": self.stage,
         }
 
     @classmethod
@@ -868,7 +844,6 @@ class ShardAdoptRequest(QueryRequest):
             _require(body, "handoff_path"),
             _require(body, "save_path"),
             warm_path=body.get("warm_path"),
-            stage=body.get("stage", "all"),
         )
 
     def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
@@ -876,35 +851,27 @@ class ShardAdoptRequest(QueryRequest):
 
 
 @dataclass(frozen=True)
-class ShardDropRequest(QueryRequest):
-    """Worker-internal split step: shed every user ``>= boundary``,
-    keeping the left carve (whose store file was already written at
-    prepare) and the matching slice of each warm cache entry.
-    ``stage="prepare"`` builds the shrunken engine while the worker
-    keeps serving its full range; ``stage="commit"`` swaps it in under
-    the worker's write gate inside the commit barrier.  Not part of the
+class ShardCommitRequest(QueryRequest):
+    """Worker-internal commit step: swap in the engine a ``carve``
+    snapshot or a ``shard_adopt`` staged for the store file at
+    ``store_path``.  A pointer swap under the worker's write gate, sent
+    while the coordinator holds its commit barrier.  Not part of the
     analyst surface."""
 
-    boundary: str
-    stage: str
+    store_path: str
 
-    kind: ClassVar[str] = "shard_drop"
+    kind: ClassVar[str] = "shard_commit"
 
     @classmethod
-    def build(cls, boundary: str, *, stage: str = "all") -> "ShardDropRequest":
-        return cls(
-            boundary=_nonempty_str(boundary, "drop boundary"),
-            stage=_valid_stage(stage),
-        )
+    def build(cls, store_path: str) -> "ShardCommitRequest":
+        return cls(store_path=_nonempty_str(store_path, "store_path"))
 
     def body(self) -> dict:
-        return {"kind": self.kind, "boundary": self.boundary, "stage": self.stage}
+        return {"kind": self.kind, "store_path": self.store_path}
 
     @classmethod
-    def _from_body(cls, body: dict) -> "ShardDropRequest":
-        return cls.build(
-            _require(body, "boundary"), stage=body.get("stage", "all")
-        )
+    def _from_body(cls, body: dict) -> "ShardCommitRequest":
+        return cls.build(_require(body, "store_path"))
 
     def subsets_released(self) -> Tuple[Tuple[int, ...], ...]:
         return ()
@@ -931,7 +898,7 @@ REQUEST_KINDS: Dict[str, Type[QueryRequest]] = {
         RebalanceStatusRequest,
         ShardSnapshotRequest,
         ShardAdoptRequest,
-        ShardDropRequest,
+        ShardCommitRequest,
     )
 }
 

@@ -417,19 +417,15 @@ class QueryPlanner:
         return partition
 
     def _find_partition(self, target: Subset) -> Optional[List[Subset]]:
-        """Memoised exact-cover search (see :meth:`_search_partition`)."""
+        """Memoised exact-cover search (see :func:`search_exact_cover`)."""
         self._current_catalog()
         with self._memo_lock:
             if target in self._partition_cache:
                 return self._partition_cache[target]
-        partition = self._search_partition(target)
+        partition = search_exact_cover(target, self._published())
         with self._memo_lock:
             self._partition_cache[target] = partition
         return partition
-
-    def _search_partition(self, target: Subset) -> Optional[List[Subset]]:
-        """The memo's one search step (see :func:`search_exact_cover`)."""
-        return search_exact_cover(target, self._published())
 
     @staticmethod
     def _project_value(

@@ -70,7 +70,7 @@ from ..protocol.messages import (
     RebalanceSplitRequest,
     RebalanceStatusRequest,
     ShardAdoptRequest,
-    ShardDropRequest,
+    ShardCommitRequest,
     ShardPartialRequest,
     ShardSnapshotRequest,
 )
@@ -247,16 +247,7 @@ class ShardMap:
             "format": SHARD_MAP_FORMAT,
             "version": SHARD_MAP_VERSION,
             "subsets": [list(subset) for subset in self.subsets],
-            "shards": [
-                {
-                    "shard_id": spec.shard_id,
-                    "store_path": spec.store_path,
-                    "num_users": spec.num_users,
-                    "first_user": spec.first_user,
-                    "last_user": spec.last_user,
-                }
-                for spec in self.shards
-            ],
+            "shards": [_spec_to_payload(spec) for spec in self.shards],
         }
         if self.cache_state is not None:
             payload["cache_state"] = self.cache_state
@@ -294,16 +285,7 @@ class ShardMap:
             )
         try:
             subsets = tuple(tuple(int(i) for i in s) for s in data["subsets"])
-            shards = tuple(
-                ShardSpec(
-                    shard_id=str(entry["shard_id"]),
-                    store_path=str(entry["store_path"]),
-                    num_users=int(entry["num_users"]),
-                    first_user=str(entry["first_user"]),
-                    last_user=str(entry["last_user"]),
-                )
-                for entry in data["shards"]
-            )
+            shards = tuple(_spec_from_payload(entry) for entry in data["shards"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"malformed shard-map checkpoint {path}: {exc}") from exc
         cache_state = data.get("cache_state")
@@ -424,14 +406,25 @@ def _load_warm_sidecar(path: str) -> Dict[tuple, np.ndarray]:
     return entries
 
 
+def _range_stats(columns: dict) -> dict:
+    """User count and first/last user id of a column set ("" when empty)."""
+    universe = user_universe(columns)
+    return {
+        "num_users": len(universe),
+        "first_user": universe[0] if universe else "",
+        "last_user": universe[-1] if universe else "",
+    }
+
+
 # ----------------------------------------------------------------------
 # The shard worker: QueryEngine + the partial-statistics op
 # ----------------------------------------------------------------------
 class _ReadWriteGate:
     """Tiny writer-preference RW gate for the worker's store swap.
 
-    Queries (and snapshots — pure reads) share the gate; the two
-    mutating rebalance ops (``shard_adopt``/``shard_drop``) take it
+    Queries share the gate with the rebalance ops that only read the
+    live store and stage a new engine beside it (``shard_snapshot``,
+    ``shard_adopt``); ``shard_commit``, the one mutating op, takes it
     exclusively, so a fan-out partial can never observe a half-swapped
     store.  Writers are rare (one per rebalance) and fast (an in-memory
     store swap), so readers block for microseconds, not milliseconds.
@@ -512,32 +505,25 @@ class ShardWorkerEngine:
         self._cache_dir = cache_dir
         self._cache_budget_bytes = cache_budget_bytes
         self._gate = _ReadWriteGate()
-        # One staged (op, token, store, carry) tuple from a rebalance
-        # ``prepare`` stage, awaiting its ``commit``.  In-memory only:
-        # a crash discards it, and recovery works from the checkpointed
+        # The engine a carve snapshot or an adoption built beside the
+        # live one, as a (store_path, store, carry, stats) tuple awaiting
+        # the ``shard_commit`` of that store path.  In-memory only: a
+        # crash discards it, and recovery works from the checkpointed
         # files alone.
         self._staged: Optional[tuple] = None
 
     def execute(self, request: QueryRequest) -> QueryResponse:
-        if request.kind in (ShardAdoptRequest.kind, ShardDropRequest.kind):
-            handler = (
-                self._adopt if request.kind == ShardAdoptRequest.kind else self._drop
-            )
-            # ``prepare`` only reads the live store (the worker keeps
-            # serving its current range from it); ``commit`` is the
-            # engine swap and needs the write side of the gate.
-            gate = (
-                self._gate.read()
-                if request.stage == "prepare"
-                else self._gate.write()
-            )
-            with gate:
-                return QueryResponse(kind=request.kind, result=handler(request))
+        if request.kind == ShardCommitRequest.kind:
+            with self._gate.write():
+                result = self._commit(request.store_path)
+            return QueryResponse(kind=request.kind, result=result)
         with self._gate.read():
-            if request.kind == ShardSnapshotRequest.kind:
-                return QueryResponse(kind=request.kind, result=self._snapshot(request))
             if request.kind == ShardPartialRequest.kind:
                 return QueryResponse(kind=request.kind, result=self._partial(request))
+            if request.kind == ShardSnapshotRequest.kind:
+                return QueryResponse(kind=request.kind, result=self._snapshot(request))
+            if request.kind == ShardAdoptRequest.kind:
+                return QueryResponse(kind=request.kind, result=self._adopt(request))
             return self.engine.execute(request)
 
     # -- rebalance ops (service → worker; not on the analyst surface) --
@@ -574,13 +560,14 @@ class ShardWorkerEngine:
     def _snapshot(self, request: ShardSnapshotRequest) -> dict:
         """Prepare phase: write handoff store file(s) + warm sidecar.
 
-        Pure read — the worker keeps serving its full range from memory
+        Reads only — the worker keeps serving its full range from memory
         afterwards, which is what keeps mid-rebalance answers exact
-        while the coordinator still routes by the committed map.
+        while the coordinator still routes by the committed map.  A
+        carve also stages the donor's left half, which is already in
+        hand here, for the ``shard_commit`` of ``left_path``.
         """
         prf = self.estimator.prf
         columns = self.engine.store.to_columns()
-        universe = user_universe(columns)
         if request.op == "export":
             _durable_save_store(self.engine.store, request.right_path, prf)
             warm = self._warm_entries(columns, keep=None)
@@ -589,13 +576,9 @@ class ShardWorkerEngine:
                 if request.warm_path
                 else 0
             )
-            return {
-                "num_users": len(universe),
-                "first_user": universe[0] if universe else "",
-                "last_user": universe[-1] if universe else "",
-                "warm_entries": warm_count,
-            }
+            return dict(_range_stats(columns), warm_entries=warm_count)
         # carve
+        universe = user_universe(columns)
         if len(universe) < 2:
             raise ValueError(
                 f"cannot split a shard holding {len(universe)} user(s); "
@@ -618,92 +601,30 @@ class ShardWorkerEngine:
         warm_count = (
             _save_warm_sidecar(request.warm_path, warm) if request.warm_path else 0
         )
-        left_universe = user_universe(left_columns)
-        right_universe = user_universe(right_columns)
-        # Stage the donor's own shed while everything is already in
-        # hand: the later ``shard_drop prepare`` becomes a no-op lookup
-        # instead of a second full column rebuild on the serving path.
-        keep_carry = self._warm_entries(left_columns, keep=keep_left)
-        self._staged = (
-            "drop",
-            boundary,
+        left = _range_stats(left_columns)
+        self._stage(
+            request.left_path,
             left_store,
-            keep_carry,
-            {
-                "num_users": len(left_universe),
-                "first_user": left_universe[0],
-                "last_user": left_universe[-1],
-                "carried_entries": len(keep_carry),
-            },
+            left,
+            self._warm_entries(left_columns, keep=keep_left),
         )
         return {
             "boundary": boundary,
-            "left": {
-                "num_users": len(left_universe),
-                "first_user": left_universe[0],
-                "last_user": left_universe[-1],
-            },
-            "right": {
-                "num_users": len(right_universe),
-                "first_user": right_universe[0],
-                "last_user": right_universe[-1],
-            },
+            "left": left,
+            "right": _range_stats(right_columns),
             "warm_entries": warm_count,
         }
 
-    def _install_store(self, store, carry: Dict[tuple, np.ndarray]) -> None:
-        """Swap the wrapped engine onto ``store``, carrying warm entries.
-
-        A fresh :class:`QueryEngine` (and therefore a fresh
-        content-addressed cache generation) is built rather than mutated
-        in place: the old cache directory describes the old column
-        sizes, and its strict oversized-entry check would — correctly —
-        refuse to serve them against a shrunken store.  Carried entries
-        are installed *and re-spilled to disk*, so a later watchdog
-        restart of this worker rejoins warm.
-        """
-        engine = QueryEngine(
-            None,
-            store,
-            self.estimator,
-            cache_dir=self._cache_dir,
-            cache_budget_bytes=self._cache_budget_bytes,
-        )
-        for (subset, value), bits in carry.items():
-            if not store.has_subset(subset):
-                continue
-            if bits.size != store.num_users(subset):
-                continue
-            engine.cache.seed_entry(subset, value, bits)
-        self.engine = engine
-        self.cache = engine.cache
-
-    def _commit_staged(self, op: str, token: str) -> dict:
-        """Swap a staged engine in — the only work under the barrier."""
-        if self._staged is None or self._staged[:2] != (op, token):
-            have = None if self._staged is None else self._staged[:2]
-            raise ValueError(
-                f"no staged {op!r} state for {token!r} to commit "
-                f"(staged: {have}); the prepare stage must run first "
-                "on this same worker process"
-            )
-        _op, _token, store, carry, stats = self._staged
-        self._staged = None
-        self._install_store(store, carry)
-        return stats
-
     def _adopt(self, request: ShardAdoptRequest) -> dict:
-        """Merge: absorb the handoff range after our own.
+        """Merge: stage the handoff range absorbed after our own.
 
         Merged column order is *own pieces then handoff pieces* — both
         in their original publication order — so a carried own-entry
         concatenated with the sidecar's entry is positionally exact.
         The heavy lifting (load, merge, persist, cache splice) happens
-        in the ``prepare`` stage while this worker keeps serving its
-        own range; ``commit`` is a pointer swap.
+        here while this worker keeps serving its own range; the
+        ``shard_commit`` of ``save_path`` is a pointer swap.
         """
-        if request.stage == "commit":
-            return self._commit_staged("adopt", request.save_path)
         prf = self.estimator.prf
         handoff_store, _header = load_store(request.handoff_path, expected_prf=prf)
         handoff_columns = handoff_store.to_columns()
@@ -732,65 +653,50 @@ class ShardWorkerEngine:
             # handoff column, so the sidecar entry carries whole.
             if subset not in own_columns and (subset, value) not in carry:
                 carry[(subset, value)] = extra
-        universe = user_universe(merged)
-        stats = {
-            "num_users": len(universe),
-            "first_user": universe[0] if universe else "",
-            "last_user": universe[-1] if universe else "",
-            "carried_entries": len(carry),
-        }
-        if request.stage == "prepare":
-            self._staged = ("adopt", request.save_path, merged_store, carry, stats)
-            return stats
-        self._install_store(merged_store, carry)
+        return self._stage(
+            request.save_path, merged_store, _range_stats(merged), carry
+        )
+
+    def _stage(
+        self, store_path: str, store, stats: dict, carry: Dict[tuple, np.ndarray]
+    ) -> dict:
+        """Hold ``store`` for the ``shard_commit`` of ``store_path``."""
+        stats = dict(stats, carried_entries=len(carry))
+        self._staged = (store_path, store, carry, stats)
         return stats
 
-    def _drop(self, request: ShardDropRequest) -> dict:
-        """Split: shed every user ``>= boundary``.
+    def _commit(self, store_path: str) -> dict:
+        """Swap the staged engine in — the only work under the barrier.
 
-        ``prepare`` builds the shrunken engine while the worker still
-        answers for its full range; ``commit`` swaps it in under the
-        coordinator's barrier.
+        A fresh :class:`QueryEngine` (and therefore a fresh
+        content-addressed cache generation) is built rather than mutated
+        in place: the old cache directory describes the old column
+        sizes, and its strict oversized-entry check would — correctly —
+        refuse to serve them against a resized store.  Carried entries
+        are installed *and re-spilled to disk*, so a later watchdog
+        restart of this worker rejoins warm.
         """
-        if request.stage == "commit":
-            return self._commit_staged("drop", request.boundary)
-        if (
-            request.stage == "prepare"
-            and self._staged is not None
-            and self._staged[:2] == ("drop", request.boundary)
-        ):
-            # The carve snapshot already staged this shed.
-            return self._staged[4]
-        columns = self.engine.store.to_columns()
-        left_columns, right_columns = split_columns_at(columns, request.boundary)
-        if not right_columns:
+        if self._staged is None or self._staged[0] != store_path:
+            have = None if self._staged is None else self._staged[0]
             raise ValueError(
-                f"drop boundary {request.boundary!r} sheds no user from this shard"
+                f"no engine staged for {store_path!r} to commit (staged: "
+                f"{have!r}); a carve snapshot or an adoption must run first "
+                "on this same worker process"
             )
-        if not left_columns:
-            raise ValueError(
-                f"drop boundary {request.boundary!r} would shed every user; "
-                "a donor must keep a non-empty range"
-            )
-        keep = self._range_masks(columns, request.boundary)
-        carry: Dict[tuple, np.ndarray] = {}
-        for (subset, value), bits in self.cache.entries_snapshot().items():
-            mask = keep.get(subset)
-            if mask is None or not mask.any():
-                continue
-            carry[(subset, value)] = np.ascontiguousarray(bits[mask])
-        left_store = SketchStore.from_columns(left_columns)
-        universe = user_universe(left_columns)
-        stats = {
-            "num_users": len(universe),
-            "first_user": universe[0],
-            "last_user": universe[-1],
-            "carried_entries": len(carry),
-        }
-        if request.stage == "prepare":
-            self._staged = ("drop", request.boundary, left_store, carry, stats)
-            return stats
-        self._install_store(left_store, carry)
+        _path, store, carry, stats = self._staged
+        self._staged = None
+        engine = QueryEngine(
+            None,
+            store,
+            self.estimator,
+            cache_dir=self._cache_dir,
+            cache_budget_bytes=self._cache_budget_bytes,
+        )
+        for (subset, value), bits in carry.items():
+            if store.has_subset(subset) and bits.size == store.num_users(subset):
+                engine.cache.seed_entry(subset, value, bits)
+        self.engine = engine
+        self.cache = engine.cache
         return stats
 
     def _partial(self, request: ShardPartialRequest) -> dict:
@@ -1420,6 +1326,46 @@ class ShardCoordinator(QueryPlanner):
 # ----------------------------------------------------------------------
 # The process supervisor
 # ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class _RangeMove:
+    """One rebalance as a move of a user range from ``donor`` to
+    ``recipient`` — what :meth:`ShardedService._move_range` drives.
+
+    ``specs`` maps the donor's snapshot reply to the new specs of each
+    participant it replaces (a participant mapped to ``()`` leaves the
+    map and its worker retires); ``adopt`` is the request a live
+    recipient stages the range with, or ``None`` for a fresh recipient
+    worker spawned on its carved file with the snapshot's warm sidecar.
+    """
+
+    op: str
+    donor: str
+    recipient: str
+    snapshot: ShardSnapshotRequest
+    specs: Callable[[dict], Dict[str, Tuple[ShardSpec, ...]]]
+    adopt: Optional[ShardAdoptRequest]
+    pending_paths: Tuple[str, ...]
+
+
+def _discard_files(record: dict, committed: bool) -> None:
+    """Delete the files a resolved rebalance ``record`` leaves behind.
+
+    Rolled back, that is every pending file; committed, it is every
+    obsolete or pending file the pending shard specs do not reference.
+    """
+    paths = list(record.get("pending_paths", ()))
+    if committed:
+        referenced = {entry["store_path"] for entry in record["pending_shards"]}
+        paths = [
+            path
+            for path in list(record.get("obsolete_paths", ())) + paths
+            if path not in referenced
+        ]
+    for path in paths:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+
+
 def _preferred_context() -> multiprocessing.context.BaseContext:
     """fork where available (same choice as publish_database: cheap,
     no re-import per worker), spawn elsewhere — worker payloads are
@@ -1552,16 +1498,8 @@ class ShardedService:
             save_store(
                 shard, store_path, include_iterations=True, format="columnar", prf=prf
             )
-            universe = user_universe(shard.to_columns())
-            specs.append(
-                ShardSpec(
-                    shard_id=f"shard-{index}",
-                    store_path=store_path,
-                    num_users=len(universe),
-                    first_user=universe[0] if universe else "",
-                    last_user=universe[-1] if universe else "",
-                )
-            )
+            stats = _range_stats(shard.to_columns())
+            specs.append(ShardSpec(f"shard-{index}", store_path, **stats))
         shard_map = ShardMap(subsets=tuple(store.subsets), shards=tuple(specs))
         return cls(shard_map, prf, base_dir, **kwargs)
 
@@ -1596,40 +1534,30 @@ class ShardedService:
         checkpoint_path = os.path.join(base_dir, "shard_map.json")
         shard_map = ShardMap.load(checkpoint_path)
         action = None
-        cleanup: List[str] = []
         record = shard_map.rebalance
         if record is not None:
-            if record.get("phase") == "acked":
+            # "acked" rolls forward; "prepared" — or anything
+            # unrecognised, where rollback is the only safe default: the
+            # committed map and its files are untouched by construction
+            # — rolls back.
+            committed = record.get("phase") == "acked"
+            if committed:
                 action = "rolled_forward"
-                specs = tuple(
-                    _spec_from_payload(entry) for entry in record["pending_shards"]
-                )
-                referenced = {spec.store_path for spec in specs}
-                cleanup = [
-                    path
-                    for path in list(record.get("obsolete_paths", []))
-                    + list(record.get("pending_paths", []))
-                    if path not in referenced
-                ]
                 shard_map = ShardMap(
                     subsets=shard_map.subsets,
-                    shards=specs,
+                    shards=tuple(
+                        _spec_from_payload(entry) for entry in record["pending_shards"]
+                    ),
                     cache_state=shard_map.cache_state,
                 )
             else:
-                # "prepared" — or anything unrecognised, where rollback
-                # is the only safe default: the committed map and its
-                # files are untouched by construction.
                 action = "rolled_back"
-                cleanup = list(record.get("pending_paths", []))
                 shard_map = replace(shard_map, rebalance=None)
             # Persist the resolution *before* deleting anything: a crash
             # during recovery must find either the old record (recovery
             # re-runs) or the resolved map (cleanup re-runs harmlessly).
             shard_map.save(checkpoint_path)
-            for path in cleanup:
-                with contextlib.suppress(OSError):
-                    os.unlink(path)
+            _discard_files(record, committed)
         state = shard_map.cache_state
         if state is not None and state.get("enabled") and "cache" not in kwargs:
             kwargs["cache"] = True
@@ -1888,9 +1816,9 @@ class ShardedService:
         """Breathe between handoff phases (``pace_s`` > 0 throttles).
 
         Pacing trades handoff duration for serving impact: the phases
-        themselves are already off the query path (prepare and the
-        staged drop/adopt run while workers keep serving; the barrier
-        holds only for an engine pointer swap and the map flip), and a
+        themselves are already off the query path (snapshots and
+        staging run while workers keep serving; the barrier holds only
+        for an engine pointer swap and the map flip), and a
         pause between them lets the serving tier absorb each phase's
         cache/CPU ripple before the next starts.  The wait rides the
         abort event, so a participant death mid-pace wakes the driver
@@ -1942,6 +1870,17 @@ class ShardedService:
             f"{[spec.shard_id for spec in self.shard_map.shards]}"
         )
 
+    def _retire(self, shard_id: str) -> None:
+        """Stop a worker that leaves the topology and forget its state."""
+        with self._lifecycle:
+            process = self._processes.pop(shard_id, None)
+            if process is not None and process.is_alive():
+                process.kill()
+                process.join(timeout=10.0)
+            self._addresses.pop(shard_id, None)
+            self._restarts.pop(shard_id, None)
+            self._gave_up.discard(shard_id)
+
     def _abort_rebalance(self, record: dict, reason: str, mutated: List[str]) -> None:
         """Roll a failed handoff back to the committed topology.
 
@@ -1957,21 +1896,12 @@ class ShardedService:
             self._rebalance_record = None
             with contextlib.suppress(Exception):
                 self.checkpoint()
-            for path in record.get("pending_paths", ()):
-                with contextlib.suppress(OSError):
-                    os.unlink(path)
+            _discard_files(record, committed=False)
             committed = {spec.shard_id for spec in self.shard_map.shards}
-            for shard_id in record.get("participants", ()):
-                if shard_id in committed:
-                    continue
-                process = self._processes.pop(shard_id, None)
-                if process is not None and process.is_alive():
-                    process.kill()
-                    process.join(timeout=10.0)
-                self._addresses.pop(shard_id, None)
-            for shard_id in mutated:
+            for shard_id in record["participants"]:
                 if shard_id not in committed:
-                    continue
+                    self._retire(shard_id)
+            for shard_id in mutated:
                 try:
                     self.restart_shard(shard_id)
                 except Exception as exc:  # noqa: BLE001 - watchdog retries
@@ -1984,25 +1914,30 @@ class ShardedService:
             reason=reason,
         )
 
-    def rebalance_split(
-        self,
-        shard_id: str,
-        boundary: Optional[str] = None,
-        timeout: float = 60.0,
-        pace_s: float = 0.0,
+    def _move_range(
+        self, plan: Callable[[], _RangeMove], timeout: float, pace_s: float
     ) -> dict:
-        """Split one live shard's user range in two, under traffic.
+        """Move one user range from a donor shard to a recipient, live.
 
-        Two-phase: *prepare* (the donor carves both halves to fresh
-        fsync'd store files plus a warm sidecar, and the ``prepared``
-        record is checkpointed), then *commit* (a fresh worker serves
-        the right half, acks by answering ``ping`` — checkpointed as
-        ``acked`` — the donor pre-stages its shrunken engine, and
-        inside the coordinator's commit barrier the staged engine swaps
-        in and the routing map flips).  Queries keep flowing
-        throughout; a crash at any point recovers from the checkpoint
-        alone (see :meth:`from_checkpoint`).  ``pace_s`` > 0 pauses
-        between phases to amortise serving impact (see :meth:`_pace`).
+        The one handoff ladder behind :meth:`rebalance_split` and
+        :meth:`rebalance_merge`.  ``plan`` runs under the rebalance lock
+        and returns the :class:`_RangeMove`; then:
+
+        * *prepare* — the donor snapshots the range to fresh fsync'd
+          files, and the ``prepared`` record is checkpointed;
+        * *ack* — the recipient takes possession (a fresh worker on the
+          carved file answers ``ping``, or a live worker stages the
+          adoption), and the ``acked`` record is checkpointed;
+        * *commit* — inside the coordinator's barrier every surviving
+          live participant swaps in its staged engine (``shard_commit``)
+          and the routing map flips; then a donor that left the map
+          retires and the superseded files are deleted.
+
+        Queries keep flowing throughout; a crash at any point recovers
+        from the checkpoint alone (see :meth:`from_checkpoint`), and a
+        failure while the record is live rolls back
+        (:meth:`_abort_rebalance`).  ``pace_s`` > 0 pauses between
+        phases (see :meth:`_pace`).
         """
         if not self._rebalance_busy.acquire(blocking=False):
             raise ValueError(
@@ -2013,119 +1948,90 @@ class ShardedService:
         try:
             self._rebalance_abort.clear()
             self._hook("pre_prepare")
-            donor = self._spec_for(shard_id)
-            new_id = self._new_shard_id()
-            left_path = self._fresh_path(f"{shard_id}-split", ".npz")
-            right_path = self._fresh_path(new_id, ".npz")
-            warm_path = self._fresh_path(f"{new_id}-warm", ".npz")
+            move = plan()
+            live = self.shard_map.shards
             # -- prepare ------------------------------------------------
-            snap = self._worker_call(
-                shard_id,
-                ShardSnapshotRequest.build(
-                    "carve",
-                    right_path,
-                    boundary=boundary,
-                    left_path=left_path,
-                    warm_path=warm_path,
-                ),
-                timeout,
+            snap = self._worker_call(move.donor, move.snapshot, timeout)
+            replaced = move.specs(snap)
+            pending = tuple(
+                new for spec in live for new in replaced.get(spec.shard_id, (spec,))
             )
-            chosen = snap["boundary"]
-            donor_spec = ShardSpec(
-                shard_id,
-                left_path,
-                int(snap["left"]["num_users"]),
-                snap["left"]["first_user"],
-                snap["left"]["last_user"],
-            )
-            recipient_spec = ShardSpec(
-                new_id,
-                right_path,
-                int(snap["right"]["num_users"]),
-                snap["right"]["first_user"],
-                snap["right"]["last_user"],
-            )
-            pending: List[ShardSpec] = []
-            for spec in self.shard_map.shards:
-                if spec.shard_id == shard_id:
-                    pending.extend((donor_spec, recipient_spec))
-                else:
-                    pending.append(spec)
+            pending_by_id = {spec.shard_id: spec for spec in pending}
+            order = [spec.shard_id for spec in live + pending]
+            participants = sorted({move.donor, move.recipient}, key=order.index)
+            detail = {"recipient": move.recipient}
+            if "boundary" in snap:  # a carve reports the boundary it cut at
+                detail["boundary"] = snap["boundary"]
             record = {
-                "op": "split",
+                "op": move.op,
                 "phase": "prepared",
-                "donor": shard_id,
-                "recipient": new_id,
-                "boundary": chosen,
-                "participants": [shard_id, new_id],
+                "donor": move.donor,
+                "recipient": move.recipient,
+                "boundary": detail.get("boundary", ""),
+                "participants": participants,
                 "pending_shards": [_spec_to_payload(spec) for spec in pending],
-                "pending_paths": [left_path, right_path, warm_path],
-                "obsolete_paths": [donor.store_path],
+                "pending_paths": list(move.pending_paths),
+                "obsolete_paths": [
+                    spec.store_path for spec in live if spec.shard_id in participants
+                ],
             }
             self._install_record(record)
-            self._log_event(
-                "rebalance_prepared",
-                shard_id,
-                op="split",
-                boundary=chosen,
-                recipient=new_id,
-            )
+            self._log_event("rebalance_prepared", move.donor, op=move.op, **detail)
             self._hook("post_prepare")
             self._pace(pace_s)
-            # -- ack: the recipient proves possession -------------------
-            with self._lifecycle:
-                self._spawn(recipient_spec, warm_path=warm_path)
-            host, port = self._wait_ready(recipient_spec, timeout)
-            self._addresses[new_id] = (host, port)
-            self._worker_call(new_id, PingRequest.build(), timeout)
+            # -- ack: the recipient takes possession ---------------------
+            joins: Dict[str, Tuple[str, int, str]] = {}
+            if move.adopt is None:
+                spec = pending_by_id[move.recipient]
+                with self._lifecycle:
+                    self._spawn(spec, warm_path=move.snapshot.warm_path)
+                host, port = self._wait_ready(spec, timeout)
+                self._addresses[spec.shard_id] = (host, port)
+                self._worker_call(spec.shard_id, PingRequest.build(), timeout)
+                joins[spec.shard_id] = (host, port, self._token)
+            else:
+                # The merged store is durably on disk before ``acked``
+                # is checkpointed, so roll-forward recovery never needs
+                # the staged in-memory engine.
+                self._worker_call(move.recipient, move.adopt, timeout)
             record = dict(record, phase="acked")
             self._install_record(record)
-            self._log_event("rebalance_acked", new_id, op="split")
+            self._log_event("rebalance_acked", move.recipient, op=move.op)
             self._hook("post_ack")
             self._pace(pace_s)
-            # -- commit: pre-stage the shed, then barrier + flip --------
+            # -- commit: barrier, staged swaps, map flip ----------------
+            live_ids = {spec.shard_id for spec in live}
+            staged = [s for s in participants if s in live_ids and s in pending_by_id]
+            retired = [s for s in participants if s not in pending_by_id]
             new_map = ShardMap(
                 subsets=self.shard_map.subsets,
-                shards=tuple(pending),
+                shards=pending,
                 cache_state=self.shard_map.cache_state,
             )
-            # The donor builds its shrunken engine while still serving
-            # the full range; the barrier below holds only for the
-            # pointer swap and the map flip.
-            self._worker_call(
-                shard_id, ShardDropRequest.build(chosen, stage="prepare"), timeout
-            )
-            self._check_abort()
             with self.coordinator.rebalance_barrier(timeout):
-                mutated.append(shard_id)
-                self._worker_call(
-                    shard_id, ShardDropRequest.build(chosen, stage="commit"), timeout
-                )
+                for shard_id in staged:
+                    mutated.append(shard_id)
+                    self._worker_call(
+                        shard_id,
+                        ShardCommitRequest.build(pending_by_id[shard_id].store_path),
+                        timeout,
+                    )
                 self.coordinator.apply_rebalance(
-                    new_map,
-                    joins={new_id: (host, port, self._token)},
-                    removals=[],
+                    new_map, joins=joins, removals=retired
                 )
                 self.shard_map = new_map
             self._rebalance_record = None
             self.checkpoint()
-            for path in (donor.store_path, warm_path):
-                with contextlib.suppress(OSError):
-                    os.unlink(path)
+            for shard_id in retired:
+                self._retire(shard_id)
+            _discard_files(record, committed=True)
             self._rebalances_completed += 1
-            self._log_event(
-                "rebalance_committed",
-                shard_id,
-                op="split",
-                boundary=chosen,
-                recipient=new_id,
-            )
+            self._log_event("rebalance_committed", move.donor, op=move.op, **detail)
             self._hook("post_commit")
             return {
-                "op": "split",
-                "donor": shard_id,
-                "recipient": new_id,
-                "boundary": chosen,
+                "op": move.op,
+                "donor": move.donor,
+                **detail,
                 "shards": [spec.shard_id for spec in new_map.shards],
             }
         except BaseException as exc:
@@ -2137,6 +2043,51 @@ class ShardedService:
             self._rebalance_abort.clear()
             self._rebalance_busy.release()
 
+    def rebalance_split(
+        self,
+        shard_id: str,
+        boundary: Optional[str] = None,
+        timeout: float = 60.0,
+        pace_s: float = 0.0,
+    ) -> dict:
+        """Split one live shard's user range in two, under traffic.
+
+        The range ``[boundary, end)`` (``boundary`` defaults to the
+        donor's range median) moves to a fresh worker: the donor carves
+        both halves to fresh files and stages its left half, the new
+        worker starts warm on the right half, and at commit the donor
+        swaps in its left half as the map flips (see :meth:`_move_range`).
+        """
+
+        def plan() -> _RangeMove:
+            self._spec_for(shard_id)
+            new_id = self._new_shard_id()
+            left_path = self._fresh_path(f"{shard_id}-split", ".npz")
+            right_path = self._fresh_path(new_id, ".npz")
+            warm_path = self._fresh_path(f"{new_id}-warm", ".npz")
+            return _RangeMove(
+                op="split",
+                donor=shard_id,
+                recipient=new_id,
+                snapshot=ShardSnapshotRequest.build(
+                    "carve",
+                    right_path,
+                    boundary=boundary,
+                    left_path=left_path,
+                    warm_path=warm_path,
+                ),
+                specs=lambda snap: {
+                    shard_id: (
+                        ShardSpec(shard_id, left_path, **snap["left"]),
+                        ShardSpec(new_id, right_path, **snap["right"]),
+                    )
+                },
+                adopt=None,
+                pending_paths=(left_path, right_path, warm_path),
+            )
+
+        return self._move_range(plan, timeout, pace_s)
+
     def rebalance_merge(
         self,
         left: str,
@@ -2146,24 +2097,15 @@ class ShardedService:
     ) -> dict:
         """Merge two *adjacent* live shards into the left one, under traffic.
 
-        Prepare: the right shard exports its full store and warm cache
-        to fsync'd handoff files (checkpointed ``prepared``).  Ack: the
-        left shard *stages* the adoption — loads the handoff, persists
-        the merged store, splices the warm cache — while still serving
-        only its own range (checkpointed ``acked``).  Commit, inside
-        the barrier: the staged engine swaps in and the routing map
-        drops the right shard, whose worker then retires.  ``pace_s``
-        > 0 pauses between phases (see :meth:`_pace`).
+        The right shard's whole range moves to the left shard: the right
+        shard exports its store and warm cache, the left shard stages
+        the adoption while still serving only its own range, and at
+        commit the left shard swaps in the merged engine as the map
+        drops the right shard, whose worker then retires (see
+        :meth:`_move_range`).
         """
-        if not self._rebalance_busy.acquire(blocking=False):
-            raise ValueError(
-                "a rebalance is already in progress; retry once it completes"
-            )
-        mutated: List[str] = []
-        record: Optional[dict] = None
-        try:
-            self._rebalance_abort.clear()
-            self._hook("pre_prepare")
+
+        def plan() -> _RangeMove:
             left_spec = self._spec_for(left)
             right_spec = self._spec_for(right)
             order = [spec.shard_id for spec in self.shard_map.shards]
@@ -2175,14 +2117,6 @@ class ShardedService:
             merged_path = self._fresh_path(f"{left}-merged", ".npz")
             handoff_path = self._fresh_path(f"{right}-handoff", ".npz")
             warm_path = self._fresh_path(f"{right}-handoff-warm", ".npz")
-            # -- prepare ------------------------------------------------
-            self._worker_call(
-                right,
-                ShardSnapshotRequest.build(
-                    "export", handoff_path, warm_path=warm_path
-                ),
-                timeout,
-            )
             merged_spec = ShardSpec(
                 left,
                 merged_path,
@@ -2190,103 +2124,21 @@ class ShardedService:
                 left_spec.first_user if left_spec.num_users else right_spec.first_user,
                 right_spec.last_user if right_spec.num_users else left_spec.last_user,
             )
-            pending = tuple(
-                merged_spec if spec.shard_id == left else spec
-                for spec in self.shard_map.shards
-                if spec.shard_id != right
-            )
-            record = {
-                "op": "merge",
-                "phase": "prepared",
-                "donor": right,
-                "recipient": left,
-                "boundary": "",
-                "participants": [left, right],
-                "pending_shards": [_spec_to_payload(spec) for spec in pending],
-                "pending_paths": [handoff_path, warm_path, merged_path],
-                "obsolete_paths": [left_spec.store_path, right_spec.store_path],
-            }
-            self._install_record(record)
-            self._log_event(
-                "rebalance_prepared", right, op="merge", recipient=left
-            )
-            self._hook("post_prepare")
-            self._pace(pace_s)
-            # -- ack: the left shard stages the adoption ----------------
-            # Heavy lifting (load + merge + persist + cache splice)
-            # happens here, while the left worker keeps answering for
-            # its own range only; the merged store is durably on disk
-            # before ``acked`` is checkpointed, so roll-forward recovery
-            # never needs the staged in-memory state.
-            new_map = ShardMap(
-                subsets=self.shard_map.subsets,
-                shards=pending,
-                cache_state=self.shard_map.cache_state,
-            )
-            self._worker_call(
-                left,
-                ShardAdoptRequest.build(
-                    handoff_path, merged_path, warm_path=warm_path, stage="prepare"
+            return _RangeMove(
+                op="merge",
+                donor=right,
+                recipient=left,
+                snapshot=ShardSnapshotRequest.build(
+                    "export", handoff_path, warm_path=warm_path
                 ),
-                timeout,
+                specs=lambda snap: {left: (merged_spec,), right: ()},
+                adopt=ShardAdoptRequest.build(
+                    handoff_path, merged_path, warm_path=warm_path
+                ),
+                pending_paths=(handoff_path, warm_path, merged_path),
             )
-            record = dict(record, phase="acked")
-            self._install_record(record)
-            self._log_event("rebalance_acked", left, op="merge")
-            self._hook("post_ack")
-            self._pace(pace_s)
-            # -- commit: barrier, staged swap, flip ---------------------
-            with self.coordinator.rebalance_barrier(timeout):
-                mutated.append(left)
-                self._worker_call(
-                    left,
-                    ShardAdoptRequest.build(
-                        handoff_path, merged_path, warm_path=warm_path, stage="commit"
-                    ),
-                    timeout,
-                )
-                self.coordinator.apply_rebalance(new_map, joins={}, removals=[right])
-                self.shard_map = new_map
-            self._rebalance_record = None
-            self.checkpoint()
-            with self._lifecycle:
-                process = self._processes.pop(right, None)
-                if process is not None and process.is_alive():
-                    process.terminate()
-                    process.join(timeout=10.0)
-                    if process.is_alive():  # pragma: no cover - stuck worker
-                        process.kill()
-                        process.join(timeout=5.0)
-                self._addresses.pop(right, None)
-                self._restarts.pop(right, None)
-                self._gave_up.discard(right)
-            for path in (
-                left_spec.store_path,
-                right_spec.store_path,
-                handoff_path,
-                warm_path,
-            ):
-                with contextlib.suppress(OSError):
-                    os.unlink(path)
-            self._rebalances_completed += 1
-            self._log_event(
-                "rebalance_committed", right, op="merge", recipient=left
-            )
-            self._hook("post_commit")
-            return {
-                "op": "merge",
-                "donor": right,
-                "recipient": left,
-                "shards": [spec.shard_id for spec in new_map.shards],
-            }
-        except BaseException as exc:
-            if record is not None and self._rebalance_record is not None:
-                self._abort_rebalance(record, str(exc), mutated)
-            raise
-        finally:
-            self._rebalance_record = None
-            self._rebalance_abort.clear()
-            self._rebalance_busy.release()
+
+        return self._move_range(plan, timeout, pace_s)
 
     def rebalance_status(self) -> dict:
         """Current ranges, any in-flight handoff, and lifetime counters."""
@@ -2320,6 +2172,7 @@ class ShardedService:
         """Fault injection: SIGKILL one worker, leaving membership as-is
         so the next query exercises the coordinator's retry path."""
         with self._lifecycle:
+            self._spec_for(shard_id)
             process = self._processes[shard_id]
             process.kill()
             process.join(timeout=10.0)
@@ -2333,9 +2186,7 @@ class ShardedService:
         handle, so the shard's circuit breaker restarts closed.
         """
         with self._lifecycle:
-            spec = next(
-                spec for spec in self.shard_map.shards if spec.shard_id == shard_id
-            )
+            spec = self._spec_for(shard_id)
             old = self._processes.get(shard_id)
             if old is not None and old.is_alive():
                 old.kill()

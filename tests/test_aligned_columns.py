@@ -40,6 +40,7 @@ from repro.server import (
     SketchStore,
     publish_database,
 )
+from repro.server import planner as planner_module
 from repro.server.engine import store_content_hash
 from repro.server.serialization import dumps_store, loads_store
 
@@ -309,13 +310,13 @@ class TestPartitionMemo:
         store = published_store(database, sketcher, seed=73)
         engine = QueryEngine(database.schema, store, SketchEstimator(params, prf))
         searches = {"n": 0}
-        original = QueryEngine._search_partition
+        original = planner_module.search_exact_cover
 
-        def counted(self, target):
+        def counted(target, published):
             searches["n"] += 1
-            return original(self, target)
+            return original(target, published)
 
-        monkeypatch.setattr(QueryEngine, "_search_partition", counted)
+        monkeypatch.setattr(planner_module, "search_exact_cover", counted)
         engine.fraction((0, 1, 2), (1, 0, 1))
         engine.count((0, 1, 2), (0, 0, 0))
         engine.counts_block((0, 1, 2), [(1, 1, 1)])

@@ -28,7 +28,10 @@ from repro.protocol import (
     FractionRequest,
     MarginalRequest,
     ProtocolError,
+    ShardAdoptRequest,
+    ShardCommitRequest,
     ShardPartialRequest,
+    ShardSnapshotRequest,
     QueryError,
     RemoteQueryError,
     REQUEST_KINDS,
@@ -214,11 +217,11 @@ class TestRoundTrips:
                 "shard_partial",
                 "ping",
                 "status",
-                # PR 10 rebalancing surface; round-trips are covered in
-                # tests/test_rebalance.py.
+                # The rebalancing surface; the worker-internal kinds'
+                # round trips are TestWorkerInternalKinds below.
                 "shard_snapshot",
                 "shard_adopt",
-                "shard_drop",
+                "shard_commit",
                 "rebalance_split",
                 "rebalance_merge",
                 "rebalance_status",
@@ -242,6 +245,83 @@ class TestRoundTrips:
         # JSON text round trip included: repr shortest-round-trip floats.
         payload = json.loads(json.dumps(estimate_to_payload(estimate)))
         assert estimate_from_payload(payload) == estimate
+
+
+class TestWorkerInternalKinds:
+    """The service → worker rebalance kinds: round trips, and malformed
+    bodies refused with a typed ``malformed_request``."""
+
+    VALID = [
+        ShardSnapshotRequest.build(
+            "carve",
+            "/d/shard-2.npz",
+            boundary="user-0040",
+            left_path="/d/shard-0-split.npz",
+            warm_path="/d/shard-2-warm.npz",
+        ),
+        ShardSnapshotRequest.build("carve", "/d/r.npz", left_path="/d/l.npz"),
+        ShardSnapshotRequest.build("export", "/d/h.npz", warm_path="/d/w.npz"),
+        ShardSnapshotRequest.build("export", "/d/h.npz"),
+        ShardAdoptRequest.build("/d/h.npz", "/d/m.npz", warm_path="/d/w.npz"),
+        ShardAdoptRequest.build("/d/h.npz", "/d/m.npz"),
+        ShardCommitRequest.build("/d/m.npz"),
+    ]
+
+    MALFORMED = {
+        "snapshot missing right_path": {"kind": "shard_snapshot", "op": "export"},
+        "snapshot missing op": {"kind": "shard_snapshot", "right_path": "/d/r.npz"},
+        "snapshot unknown op": {
+            "kind": "shard_snapshot", "op": "drop", "right_path": "/d/r.npz",
+        },
+        "snapshot empty right_path": {
+            "kind": "shard_snapshot", "op": "export", "right_path": "",
+        },
+        "carve missing left_path": {
+            "kind": "shard_snapshot", "op": "carve", "right_path": "/d/r.npz",
+        },
+        "carve empty left_path": {
+            "kind": "shard_snapshot",
+            "op": "carve",
+            "right_path": "/d/r.npz",
+            "left_path": "",
+        },
+        "snapshot empty warm_path": {
+            "kind": "shard_snapshot",
+            "op": "export",
+            "right_path": "/d/r.npz",
+            "warm_path": "",
+        },
+        "adopt missing handoff_path": {"kind": "shard_adopt", "save_path": "/d/m.npz"},
+        "adopt missing save_path": {"kind": "shard_adopt", "handoff_path": "/d/h.npz"},
+        "adopt empty save_path": {
+            "kind": "shard_adopt", "handoff_path": "/d/h.npz", "save_path": "",
+        },
+        "adopt empty warm_path": {
+            "kind": "shard_adopt",
+            "handoff_path": "/d/h.npz",
+            "save_path": "/d/m.npz",
+            "warm_path": "",
+        },
+        "adopt non-string handoff_path": {
+            "kind": "shard_adopt", "handoff_path": 7, "save_path": "/d/m.npz",
+        },
+        "commit missing store_path": {"kind": "shard_commit"},
+        "commit empty store_path": {"kind": "shard_commit", "store_path": ""},
+        "commit null store_path": {"kind": "shard_commit", "store_path": None},
+    }
+
+    @pytest.mark.parametrize("request_", VALID, ids=lambda r: r.kind)
+    def test_round_trip(self, request_):
+        assert loads_request(dumps_request(request_)) == request_
+        assert request_.subsets_released() == ()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_body_is_refused(self, case):
+        body = self.MALFORMED[case]
+        payload = dumps_wire_message(REQUEST_TAG, PROTOCOL_VERSION, body)
+        with pytest.raises(ProtocolError) as info:
+            loads_request(payload)
+        assert info.value.code == "malformed_request"
 
 
 class TestEnvelope:

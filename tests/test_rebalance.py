@@ -2,9 +2,8 @@
 
 Four layers of coverage:
 
-* **Properties** (hypothesis): range-bound split/merge round-trips, and
-  carving a column set at a boundary then merging the halves back
-  reconstructs the aligned keys bit-for-bit.
+* **Properties** (hypothesis): carving a column set at a boundary then
+  merging the halves back reconstructs the aligned keys bit-for-bit.
 * **Parity**: every protocol query family answers byte-identically to
   the single-store engine before, *during*, and after a split and a
   merge — cold cache and warm, both PRF backends.
@@ -37,10 +36,7 @@ from repro.core import (
     PrivacyParams,
     SketchEstimator,
     Sketcher,
-    merge_bounds,
     merge_columns,
-    range_bounds,
-    split_bounds,
     split_columns_at,
     user_universe,
 )
@@ -57,6 +53,9 @@ from repro.protocol import (
     RebalanceMergeRequest,
     RebalanceSplitRequest,
     RebalanceStatusRequest,
+    ShardAdoptRequest,
+    ShardCommitRequest,
+    ShardSnapshotRequest,
     dumps_response,
 )
 from repro.server import (
@@ -102,30 +101,6 @@ def make_stack(prf_cls, num_users=80, seed=5):
 # ----------------------------------------------------------------------
 class TestPartitionProperties:
     @given(
-        n_users=st.integers(min_value=2, max_value=500),
-        n_shards=st.integers(min_value=1, max_value=8),
-        data=st.data(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_split_then_merge_reconstructs_the_partition(
-        self, n_users, n_shards, data
-    ):
-        bounds = range_bounds(n_users, n_shards)
-        splittable = [i for i, (lo, hi) in enumerate(bounds) if hi - lo >= 2]
-        if not splittable:
-            return
-        index = data.draw(st.sampled_from(splittable))
-        lo, hi = bounds[index]
-        at = data.draw(st.integers(min_value=lo + 1, max_value=hi - 1))
-        left, right = split_bounds((lo, hi), at)
-        assert merge_bounds(left, right) == (lo, hi)
-        rebuilt = bounds[:index] + [left, right] + bounds[index + 1 :]
-        # The rebuilt bound list still tiles range(n_users) contiguously.
-        assert rebuilt[0][0] == 0 and rebuilt[-1][1] == n_users
-        for (_, a_hi), (b_lo, _) in zip(rebuilt, rebuilt[1:]):
-            assert a_hi == b_lo
-
-    @given(
         n_users=st.integers(min_value=2, max_value=60),
         boundary_frac=st.floats(min_value=0.01, max_value=0.99),
         seed=st.integers(min_value=0, max_value=2**16),
@@ -158,16 +133,6 @@ class TestPartitionProperties:
                 want = np.asarray(getattr(column, field))[order_want]
                 got = np.asarray(getattr(rebuilt, field))[order_got]
                 assert np.array_equal(want, got), field
-
-    def test_split_bounds_validates_interior_point(self):
-        with pytest.raises(ValueError):
-            split_bounds(("a", "m"), "a")
-        with pytest.raises(ValueError):
-            split_bounds(("a", "m"), "z")
-
-    def test_merge_bounds_requires_adjacency(self):
-        with pytest.raises(ValueError):
-            merge_bounds(("a", "f"), ("g", "m"))
 
     def test_merge_columns_refuses_duplicate_users(self):
         store, _, _ = make_stack(BiasedPRF, num_users=10)
@@ -289,6 +254,59 @@ class TestRebalanceValidation:
             RebalanceStatusRequest.build(),
         ):
             assert request.subsets_released() == ()
+
+
+class TestWorkerStaging:
+    """The worker's one staging model, in process: a carve or an adoption
+    stages an engine for a store path, and only the ``shard_commit`` of
+    that path swaps it in."""
+
+    def test_carve_stages_and_only_the_matching_commit_swaps(self, tmp_path):
+        store, prf, engine = make_stack(BiasedPRF, num_users=20)
+        worker = sharded_module.ShardWorkerEngine(engine)
+        universe = user_universe(store.to_columns())
+        left_path = str(tmp_path / "left.npz")
+        snap = worker.execute(
+            ShardSnapshotRequest.build(
+                "carve", str(tmp_path / "right.npz"), left_path=left_path
+            )
+        ).result
+        # Staged, not installed: the worker still serves its full range.
+        assert user_universe(worker.engine.store.to_columns()) == universe
+        with pytest.raises(ValueError, match="no engine staged"):
+            worker.execute(ShardCommitRequest.build(str(tmp_path / "other.npz")))
+        stats = worker.execute(ShardCommitRequest.build(left_path)).result
+        assert stats["num_users"] == snap["left"]["num_users"]
+        assert user_universe(worker.engine.store.to_columns()) == [
+            user for user in universe if user < snap["boundary"]
+        ]
+        # The staged engine is consumed by its commit.
+        with pytest.raises(ValueError, match="no engine staged"):
+            worker.execute(ShardCommitRequest.build(left_path))
+
+    def test_adopt_stages_the_merged_range_until_commit(self, tmp_path):
+        store, prf, engine = make_stack(BiasedPRF, num_users=20)
+        universe = user_universe(store.to_columns())
+        left_columns, right_columns = split_columns_at(
+            store.to_columns(), universe[8]
+        )
+        left_engine = QueryEngine(
+            None, SketchStore.from_columns(left_columns), engine.estimator
+        )
+        worker = sharded_module.ShardWorkerEngine(left_engine)
+        handoff_path = str(tmp_path / "handoff.npz")
+        sharded_module._durable_save_store(
+            SketchStore.from_columns(right_columns), handoff_path, prf
+        )
+        merged_path = str(tmp_path / "merged.npz")
+        worker.execute(ShardAdoptRequest.build(handoff_path, merged_path))
+        assert user_universe(worker.engine.store.to_columns()) == universe[:8]
+        worker.execute(ShardCommitRequest.build(merged_path))
+        assert user_universe(worker.engine.store.to_columns()) == universe
+        for request in REQUESTS:
+            assert dumps_response(worker.execute(request)) == dumps_response(
+                engine.execute(request)
+            )
 
 
 # ----------------------------------------------------------------------

@@ -134,6 +134,18 @@ class TestKillAndRejoin:
         assert dumps_response(service.coordinator.execute(REQUEST)) == service.expected
 
 
+    def test_kill_shard_refuses_an_unknown_shard_id(self, service):
+        with pytest.raises(ValueError, match="unknown shard id 'nope'"):
+            service.kill_shard("nope")
+        assert dumps_response(service.coordinator.execute(REQUEST)) == service.expected
+
+    def test_restart_shard_refuses_an_unknown_shard_id(self, service):
+        with pytest.raises(ValueError, match="unknown shard id 'nope'"):
+            service.restart_shard("nope")
+        assert service.coordinator.live_shards() == ["shard-0", "shard-1"]
+        assert dumps_response(service.coordinator.execute(REQUEST)) == service.expected
+
+
 class TestErrorEnvelope:
     def test_shard_unavailable_round_trips_the_envelope(self):
         error = error_from_exception(ShardUnavailableError("shard 'x' is gone"))
